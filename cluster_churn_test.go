@@ -282,8 +282,12 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Error("chaos proxy injected no faults")
 	}
+	// A fault on the probe's first frames can already have forced a
+	// redial, before any chunk was buffered to resend; the partition
+	// must cause one of its own.
+	before := faultNode.Redials()
 	proxy.Sever() // full partition; the probe must redial through it
-	for i := 0; i < 400 && faultNode.Redials() == 0; i++ {
+	for i := 0; i < 400 && faultNode.Redials() == before; i++ {
 		// A severed socket can swallow writes into the kernel buffer
 		// before the reset surfaces; keep pushing until it does.
 		if err := streamZeros(faultNode, 1, 1); err != nil {
@@ -291,8 +295,8 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if faultNode.Redials() < 1 {
-		t.Errorf("fault probe redials = %d, want >= 1 after the partition", faultNode.Redials())
+	if got := faultNode.Redials(); got <= before {
+		t.Errorf("fault probe redials = %d, want > %d after the partition", got, before)
 	}
 	if got := faultNode.Resent(); got < 1 {
 		t.Errorf("fault probe resent %d tail chunks across its redials, want >= 1", got)

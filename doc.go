@@ -146,7 +146,11 @@
 // The receiver network (internal/rxnet, cmd/plnet) builds on this:
 // nodes either decode locally and publish compact detections to an
 // aggregator, or ship raw samples into a ListenSource pipeline whose
-// sink feeds the aggregator's track fusion.
+// sink feeds the aggregator's track fusion. The aggregator only fuses
+// detections; all sample decoding runs in pipelines. Every TCP server
+// in the tier (aggregator, chunk listener, cluster router) runs on one
+// accept/track/close scaffold, so Close returns promptly with peers
+// connected.
 //
 // # Cluster tier
 //

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -138,6 +139,33 @@ func TestAdmitStampedeBatchesToOneEpochBump(t *testing.T) {
 	}
 }
 
+// With batching off, concurrent admissions still cost one epoch bump
+// each: one admission must never be absorbed into another's flush.
+func TestAdmitUnbatchedBumpsEpochPerJoin(t *testing.T) {
+	seed := startEngineSim(t, "engine-seed")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, seed)})
+	epoch0 := r.Stats().Epoch
+
+	const joiners = 8
+	var wg sync.WaitGroup
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r.AdmitEngine(Member{ID: fmt.Sprintf("engine-%d", i), Addr: fmt.Sprintf("127.0.0.1:%d", 1+i)})
+		}(i)
+	}
+	wg.Wait()
+	st := r.Stats()
+	if st.Engines != 1+joiners || st.Epoch != epoch0+joiners {
+		t.Fatalf("after %d concurrent joins: engines=%d epoch=%d, want %d and %d",
+			joiners, st.Engines, st.Epoch, 1+joiners, epoch0+joiners)
+	}
+	if got := r.ringBatches.Load(); got != joiners {
+		t.Fatalf("ring batches = %d, want %d", got, joiners)
+	}
+}
+
 // Two peered routers converge on membership with no external
 // coordinator: admissions on one appear on the other (highest epoch
 // wins), and an eviction propagates the same way.
@@ -187,4 +215,49 @@ func TestRouterPeerConvergence(t *testing.T) {
 		stA, stB := rA.Stats(), rB.Stats()
 		return stA.Engines == 1 && stB.Engines == 1 && stA.Epoch == stB.Epoch
 	})
+}
+
+// An acked or evicted replay frame must not stay reachable through the
+// buffer's backing array: trimming clears the vacated slots, so acked
+// chunk bodies are collectable at once rather than when the route
+// idles out.
+func TestReplayTrimReleasesBodies(t *testing.T) {
+	a := startEngineSim(t, "engine-a")
+	r, _ := startRouter(t, RouterConfig{Ring: clusterRing(t, a), ReplayBytes: 600})
+
+	const key = uint64(5)<<32 | uint64(2)
+	held := func(rt *route) (n int) {
+		for _, c := range rt.replay[:cap(rt.replay)] {
+			if c.body != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for seq := uint32(1); seq <= 8; seq++ {
+		r.forward(nil, key, seq, wrapChunk(t, 5, 2, seq, int(seq-1)), rxnet.FrameSampleChunk)
+	}
+	waitFor(t, "chunks delivered", func() bool { return a.samplesFor(key) == 8*25 })
+	rt, _ := r.routeFor(key)
+	rt.fmu.Lock()
+	kept, bodies := len(rt.replay), held(rt)
+	rt.fmu.Unlock()
+	if r.replayEvicted.Load() == 0 || bodies != kept {
+		t.Fatalf("after eviction: %d bodies held for %d buffered frames (evicted %d bytes)",
+			bodies, kept, r.replayEvicted.Load())
+	}
+
+	r.mu.Lock()
+	upA := r.ups["engine-a"]
+	r.mu.Unlock()
+	r.handleAck(upA, rxnet.StreamAck{Session: key, LastSeq: 8})
+	rt.fmu.Lock()
+	kept, bodies, capacity := len(rt.replay), held(rt), cap(rt.replay)
+	rt.fmu.Unlock()
+	if kept != 0 || bodies != 0 {
+		t.Fatalf("after full ack: %d frames buffered, %d bodies still held in %d slots", kept, bodies, capacity)
+	}
+	if capacity == 0 {
+		t.Fatal("full ack dropped the buffer's capacity")
+	}
 }

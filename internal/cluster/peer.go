@@ -33,8 +33,8 @@ import (
 // its keepalive hello re-admits it anyway.
 
 // peerKeepAlive paces unconditional ring pushes on a healthy peer
-// link. It must sit well below serveConn's 2-minute read deadline on
-// the receiving router, or an idle link would be cut between pushes.
+// link. It must sit well below the receiving router's 2-minute idle
+// read timeout, or an idle link would be cut between pushes.
 const peerKeepAlive = 15 * time.Second
 
 // peerLink is this router's outbound half of one peer connection.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,6 +127,18 @@ type route struct {
 	ackedThrough uint32
 }
 
+// dropReplay removes the oldest n buffered frames. The vacated slots
+// are cleared, so dropped bodies become garbage now rather than when
+// the route idles out; the buffer keeps its capacity.
+func (rt *route) dropReplay(n int) {
+	if n == 0 {
+		return
+	}
+	k := copy(rt.replay, rt.replay[n:])
+	clear(rt.replay[k:])
+	rt.replay = rt.replay[:k]
+}
+
 // upstream is the router's connection to one engine, redialed on
 // demand. wmu serializes writes from routing goroutines, the NACK
 // handler and the hello replay.
@@ -174,26 +187,16 @@ func (up *upstream) recovered() {
 	up.nextDial.Store(0)
 }
 
-// nodeConn is one accepted receiver-node connection. Writes (throttle
-// pause/resume relays) serialize on wmu; owners tracks which engines
-// this connection's streams were forwarded to, so backpressure from a
-// hot engine pauses exactly the nodes feeding it.
-type nodeConn struct {
-	c   net.Conn
-	wmu sync.Mutex
+// nodeConn is one accepted receiver-node connection.
+type nodeConn = rxnet.Conn[nodeState]
 
+// nodeState is what the router keeps per node connection: owners
+// tracks which engines the connection's streams were forwarded to, so
+// backpressure from a hot engine pauses exactly the nodes feeding it.
+type nodeState struct {
 	mu     sync.Mutex
 	owners map[string]bool
 	paused bool
-}
-
-func (nc *nodeConn) writeFrame(t rxnet.FrameType, body []byte) error {
-	nc.wmu.Lock()
-	defer nc.wmu.Unlock()
-	if err := nc.c.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
-	}
-	return rxnet.WriteFrame(nc.c, t, body)
 }
 
 // Router is the cluster front-end: it accepts rxnet chunk streams
@@ -212,7 +215,6 @@ type Router struct {
 	routes map[uint64]*route
 	ups    map[string]*upstream
 	hellos map[uint32][]byte // latest Hello body per node, replayed on engine (re)connect
-	nconns map[*nodeConn]struct{}
 	peers  map[string]*peerLink
 
 	// pendAdmits holds ring-changing admissions waiting for the batch
@@ -220,7 +222,7 @@ type Router struct {
 	pendAdmits map[string]Member
 	pendTimer  *time.Timer
 
-	ln        net.Listener
+	srv       *rxnet.Server[nodeState]
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -292,7 +294,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		routes:     make(map[uint64]*route),
 		ups:        make(map[string]*upstream),
 		hellos:     make(map[uint32][]byte),
-		nconns:     make(map[*nodeConn]struct{}),
 		peers:      make(map[string]*peerLink),
 		pendAdmits: make(map[string]Member),
 		closed:     make(chan struct{}),
@@ -388,11 +389,10 @@ func (r *Router) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	srv := rxnet.Serve(ln, r.logf, r.serveConn)
 	r.mu.Lock()
-	r.ln = ln
+	r.srv = srv
 	r.mu.Unlock()
-	r.wg.Add(1)
-	go r.acceptLoop(ln)
 	if r.cfg.RouteIdleTimeout > 0 || r.cfg.DeadEngineTimeout > 0 {
 		r.wg.Add(1)
 		go r.janitor()
@@ -400,29 +400,7 @@ func (r *Router) Listen(addr string) (string, error) {
 	for _, p := range r.cfg.Peers {
 		r.AddPeer(p)
 	}
-	return ln.Addr().String(), nil
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			r.logf("cluster: accept: %v", err)
-			return
-		}
-		r.wg.Add(1)
-		go r.serveConn(conn)
-	}
+	return srv.Addr(), nil
 }
 
 // serveConn relays one receiver node's frames. Chunk bodies are
@@ -430,37 +408,17 @@ func (r *Router) acceptLoop(ln net.Listener) {
 // prefix is parsed to route them — so the router never touches the
 // sample payload. The same port also accepts EngineHello frames from
 // engines joining the cluster (AutoAdmit).
-func (r *Router) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	nc := &nodeConn{c: conn, owners: make(map[string]bool)}
-	r.mu.Lock()
-	r.nconns[nc] = struct{}{}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.nconns, nc)
-		r.mu.Unlock()
-		conn.Close()
-	}()
+func (r *Router) serveConn(nc *nodeConn) error {
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
-			return
-		}
-		t, body, err := rxnet.ReadFrame(conn)
+		t, body, err := nc.ReadFrame()
 		if err != nil {
-			select {
-			case <-r.closed:
-			default:
-				r.logf("cluster: node read: %v", err)
-			}
-			return
+			return fmt.Errorf("cluster: node read: %w", err)
 		}
 		switch t {
 		case rxnet.FrameEngineHello:
 			eh, err := rxnet.UnmarshalEngineHello(body)
 			if err != nil {
-				r.logf("cluster: bad engine hello: %v", err)
-				return
+				return fmt.Errorf("cluster: bad engine hello: %w", err)
 			}
 			if !r.cfg.AutoAdmit {
 				r.logf("cluster: engine %s hello refused (auto-admit disabled)", eh.ID)
@@ -489,16 +447,17 @@ func (r *Router) serveConn(conn net.Conn) {
 				r.logf("cluster: ring update for %s: %v", eh.ID, err)
 				continue
 			}
-			if err := nc.writeFrame(rxnet.FrameRingUpdate, rb); err != nil {
-				r.logf("cluster: ring update to %s: %v", eh.ID, err)
-				return
+			if err := nc.WriteFrame(rxnet.FrameRingUpdate, rb); err != nil {
+				return fmt.Errorf("cluster: ring update to %s: %w", eh.ID, err)
 			}
 		case rxnet.FrameHello:
 			h, err := rxnet.UnmarshalHello(body)
 			if err != nil {
-				r.logf("cluster: bad hello: %v", err)
-				return
+				return fmt.Errorf("cluster: bad hello: %w", err)
 			}
+			// The body is retained and replayed to engines; copy it
+			// out of the connection's read buffer.
+			body = bytes.Clone(body)
 			r.mu.Lock()
 			r.hellos[h.NodeID] = body
 			ups := r.upstreamsLocked()
@@ -512,26 +471,24 @@ func (r *Router) serveConn(conn net.Conn) {
 			}
 		case rxnet.FrameSampleChunk, rxnet.FrameSampleReplay:
 			if len(body) < 12 {
-				r.logf("cluster: short chunk frame (%d bytes)", len(body))
-				return
+				return fmt.Errorf("cluster: short chunk frame (%d bytes)", len(body))
 			}
 			node := binary.BigEndian.Uint32(body[0:4])
 			stream := binary.BigEndian.Uint32(body[4:8])
 			seq := binary.BigEndian.Uint32(body[8:12])
 			session := uint64(node)<<32 | uint64(stream)
-			r.forward(nc, session, seq, body, t)
+			// The replay buffer retains the body past the next read.
+			r.forward(nc, session, seq, bytes.Clone(body), t)
 		case rxnet.FrameRingUpdate:
 			// A router peer pushing its ring (peer link, or an operator
 			// tool relaying state). Converge on it.
 			ru, err := rxnet.UnmarshalRingUpdate(body)
 			if err != nil {
-				r.logf("cluster: bad peer ring update: %v", err)
-				return
+				return fmt.Errorf("cluster: bad peer ring update: %w", err)
 			}
 			r.applyPeerUpdate(ru)
 		default:
-			r.logf("cluster: unexpected frame type %d from node", t)
-			return
+			return fmt.Errorf("cluster: unexpected frame type %d from node", t)
 		}
 	}
 }
@@ -602,7 +559,7 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		// the gap the dead router's replay buffer took with it.
 		r.resyncs.Add(1)
 		nb := rxnet.MarshalStreamNack(rxnet.StreamNack{Session: session})
-		if err := nc.writeFrame(rxnet.FrameStreamNack, nb); err != nil {
+		if err := nc.WriteFrame(rxnet.FrameStreamNack, nb); err != nil {
 			r.logf("cluster: resync nack for stream %d: %v", session, err)
 		}
 	}
@@ -619,7 +576,7 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		}
 		// A live Seq=1 behind the buffer is a genuine stream restart:
 		// the buffered chunks belong to the previous incarnation.
-		rt.replay = rt.replay[:0]
+		rt.dropReplay(len(rt.replay))
 		rt.replayBytes = 0
 		rt.ackedThrough = 0
 	}
@@ -631,9 +588,7 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 		r.replayEvicted.Add(int64(len(rt.replay[drop].body)))
 		drop++
 	}
-	if drop > 0 {
-		rt.replay = append(rt.replay[:0], rt.replay[drop:]...)
-	}
+	rt.dropReplay(drop)
 	rt.lastFwd = seq
 	failedOver := false
 	for attempt := 0; attempt < 2; attempt++ {
@@ -707,31 +662,37 @@ func (r *Router) forward(nc *nodeConn, session uint64, seq uint32, body []byte, 
 // lands on a hot engine after the propagation pass must not bypass
 // the backpressure).
 func (r *Router) noteOwner(nc *nodeConn, up *upstream) {
-	nc.mu.Lock()
-	nc.owners[up.id] = true
-	pause := up.throttled.Load() && !nc.paused
-	if pause {
-		nc.paused = true
+	st := &nc.State
+	st.mu.Lock()
+	if st.owners == nil {
+		st.owners = make(map[string]bool)
 	}
-	nc.mu.Unlock()
+	st.owners[up.id] = true
+	pause := up.throttled.Load() && !st.paused
+	if pause {
+		st.paused = true
+	}
+	st.mu.Unlock()
 	if !pause {
 		return
 	}
 	r.throttlePauses.Add(1)
-	if err := nc.writeFrame(rxnet.FrameThrottle, rxnet.MarshalThrottle(rxnet.Throttle{Paused: true})); err != nil {
+	if err := nc.WriteFrame(rxnet.FrameThrottle, rxnet.MarshalThrottle(rxnet.Throttle{Paused: true})); err != nil {
 		r.logf("cluster: throttle to node: %v", err)
 	}
 }
 
 // send writes one frame to an upstream, dialing it first if needed.
 func (r *Router) send(up *upstream, t rxnet.FrameType, body []byte) error {
+	up.wmu.Lock()
+	defer up.wmu.Unlock()
+	// Checked under wmu: Close closes each upstream under the same
+	// lock after closing r.closed, so no dial can slip in behind it.
 	select {
 	case <-r.closed:
 		return errors.New("cluster: router closed")
 	default:
 	}
-	up.wmu.Lock()
-	defer up.wmu.Unlock()
 	if up.conn == nil {
 		if time.Now().UnixNano() < up.nextDial.Load() {
 			return fmt.Errorf("cluster: engine %s in dial backoff", up.id)
@@ -870,25 +831,26 @@ func (r *Router) propagateThrottle() {
 			hot[id] = true
 		}
 	}
-	nconns := make([]*nodeConn, 0, len(r.nconns))
-	for nc := range r.nconns {
-		nconns = append(nconns, nc)
-	}
+	srv := r.srv
 	r.mu.Unlock()
-	for _, nc := range nconns {
-		nc.mu.Lock()
+	if srv == nil {
+		return
+	}
+	for _, nc := range srv.Conns() {
+		st := &nc.State
+		st.mu.Lock()
 		want := false
-		for id := range nc.owners {
+		for id := range st.owners {
 			if hot[id] {
 				want = true
 				break
 			}
 		}
-		changed := want != nc.paused
+		changed := want != st.paused
 		if changed {
-			nc.paused = want
+			st.paused = want
 		}
-		nc.mu.Unlock()
+		st.mu.Unlock()
 		if !changed {
 			continue
 		}
@@ -896,7 +858,7 @@ func (r *Router) propagateThrottle() {
 			r.throttlePauses.Add(1)
 		}
 		body := rxnet.MarshalThrottle(rxnet.Throttle{Paused: want})
-		if err := nc.writeFrame(rxnet.FrameThrottle, body); err != nil {
+		if err := nc.WriteFrame(rxnet.FrameThrottle, body); err != nil {
 			r.logf("cluster: throttle relay to node: %v", err)
 		}
 	}
@@ -931,9 +893,7 @@ func (r *Router) handleAck(from *upstream, a rxnet.StreamAck) {
 		rt.replayBytes -= len(rt.replay[drop].body)
 		drop++
 	}
-	if drop > 0 {
-		rt.replay = append(rt.replay[:0], rt.replay[drop:]...)
-	}
+	rt.dropReplay(drop)
 }
 
 // handleNack moves a refused stream to a new owner and replays every
@@ -1028,28 +988,36 @@ func (r *Router) AdmitEngine(m Member) {
 		// A queued address move for this ID is pending; fall through so
 		// the newest announcement wins when the batch flushes.
 	}
-	r.pendAdmits[m.ID] = m
 	if r.cfg.RingBatchWindow > 0 {
+		r.pendAdmits[m.ID] = m
 		if r.pendTimer == nil {
 			r.pendTimer = time.AfterFunc(r.cfg.RingBatchWindow, r.flushAdmits)
 		}
 		r.mu.Unlock()
 		return
 	}
-	r.mu.Unlock()
-	r.flushAdmits()
+	// Unbatched: apply this admission alone, without passing through
+	// pendAdmits, so concurrent admissions never share an epoch bump.
+	r.absorbAdmits(map[string]Member{m.ID: m})
 }
 
-// flushAdmits applies every admission queued in the batch window as
-// one membership change: a single ring clone, a single epoch bump
-// (Ring.Absorb), however many engines joined or moved. Runs on the
-// batch timer, or synchronously when batching is disabled.
+// flushAdmits applies every admission queued in the batch window. Runs
+// on the batch timer.
 func (r *Router) flushAdmits() {
-	var stale []*upstream
 	r.mu.Lock()
 	r.pendTimer = nil
-	members := make([]Member, 0, len(r.pendAdmits))
-	for _, m := range r.pendAdmits {
+	pend := r.pendAdmits
+	r.pendAdmits = make(map[string]Member)
+	r.absorbAdmits(pend)
+}
+
+// absorbAdmits applies admissions as one membership change: a single
+// ring clone, a single epoch bump (Ring.Absorb), however many engines
+// joined or moved. Called with r.mu held; it releases r.mu.
+func (r *Router) absorbAdmits(pend map[string]Member) {
+	var stale []*upstream
+	members := make([]Member, 0, len(pend))
+	for _, m := range pend {
 		// Drop entries that became no-ops while queued (a keepalive or
 		// peer update already landed the same ID+addr).
 		if up := r.ups[m.ID]; up != nil && up.addr == m.Addr {
@@ -1057,7 +1025,6 @@ func (r *Router) flushAdmits() {
 		}
 		members = append(members, m)
 	}
-	r.pendAdmits = make(map[string]Member)
 	if len(members) == 0 {
 		r.mu.Unlock()
 		return
@@ -1402,13 +1369,15 @@ func (r *Router) Stats() RouterStats {
 func (r *Router) Addr() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ln == nil {
+	if r.srv == nil {
 		return ""
 	}
-	return r.ln.Addr().String()
+	return r.srv.Addr()
 }
 
 // Close stops the listener, node handlers and upstream connections.
+// Upstreams close first: a node handler blocked forwarding to a stalled
+// engine is released before the node connections are waited on.
 func (r *Router) Close() error {
 	var err error
 	r.closeOnce.Do(func() {
@@ -1418,18 +1387,9 @@ func (r *Router) Close() error {
 			r.pendTimer.Stop()
 			r.pendTimer = nil
 		}
-		if r.ln != nil {
-			err = r.ln.Close()
-		}
+		srv := r.srv
 		ups := r.upstreamsLocked()
-		conns := make([]net.Conn, 0, len(r.nconns))
-		for nc := range r.nconns {
-			conns = append(conns, nc.c)
-		}
 		r.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
 		for _, up := range ups {
 			up.wmu.Lock()
 			if up.conn != nil {
@@ -1438,6 +1398,9 @@ func (r *Router) Close() error {
 				up.connected.Store(false)
 			}
 			up.wmu.Unlock()
+		}
+		if srv != nil {
+			err = srv.Close()
 		}
 		r.wg.Wait()
 	})

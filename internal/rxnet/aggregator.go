@@ -2,7 +2,6 @@ package rxnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -10,33 +9,21 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"passivelight/internal/stream"
 )
 
 // Aggregator is the fusion server: it accepts receiver-node
-// connections, collects detections and maintains object tracks.
-// With streaming enabled it also accepts raw SampleChunk frames and
-// decodes them server-side through a stream.Engine before fusion.
+// connections, collects their detections and maintains object tracks.
+// It only fuses; raw sample streams are decoded by a Pipeline over a
+// ChunkListener, whose sink hands detections to Ingest.
 type Aggregator struct {
-	mu        sync.Mutex
-	nodes     map[uint32]Hello
-	pending   map[string][]Detection // keyed by payload bits
-	tracks    []Track
-	subs      []chan Track
-	ln        net.Listener
-	wg        sync.WaitGroup
-	logf      func(format string, args ...any)
-	trackGap  time.Duration
-	closeOnce sync.Once
-	closed    chan struct{}
-
-	engine   *stream.Engine
-	engineWG sync.WaitGroup
-	// cursors tracks each stream's expected chunk continuation
-	// across connections, keyed by SessionKey, so reconnects and
-	// gaps are detected rather than spliced into the decode.
-	cursors map[uint64]*chunkCursor
+	mu       sync.Mutex
+	nodes    map[uint32]Hello
+	pending  map[string][]Detection // keyed by payload bits
+	tracks   []Track
+	subs     []chan Track
+	srv      *Server[struct{}]
+	logf     func(format string, args ...any)
+	trackGap time.Duration
 }
 
 // AggregatorOptions configures the server.
@@ -46,11 +33,6 @@ type AggregatorOptions struct {
 	TrackGap time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// Streaming, when non-nil, enables server-side decoding of
-	// SampleChunk frames through a stream.Engine with this
-	// configuration. Session.Fs may be zero — each stream's chunks
-	// carry their own sample rate.
-	Streaming *stream.EngineConfig
 }
 
 // NewAggregator builds an idle aggregator.
@@ -63,91 +45,11 @@ func NewAggregator(opt AggregatorOptions) *Aggregator {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	a := &Aggregator{
+	return &Aggregator{
 		nodes:    make(map[uint32]Hello),
 		pending:  make(map[string][]Detection),
 		logf:     logf,
 		trackGap: gap,
-		closed:   make(chan struct{}),
-		cursors:  make(map[uint64]*chunkCursor),
-	}
-	if opt.Streaming != nil {
-		cfg := *opt.Streaming
-		if cfg.Session.Fs == 0 {
-			// Placeholder default; every session adopts the rate its
-			// chunks declare.
-			cfg.Session.Fs = 1000
-		}
-		eng, err := stream.NewEngine(cfg)
-		if err != nil {
-			// Config errors are programming mistakes; surface loudly
-			// but keep the detection-only aggregator usable.
-			a.logf("rxnet: streaming disabled: %v", err)
-		} else {
-			a.engine = eng
-			a.engineWG.Add(1)
-			go a.consumeEngine()
-		}
-	}
-	return a
-}
-
-// consumeEngine turns server-side stream decodes into detections and
-// feeds them to track fusion. It consumes the engine's batched output
-// (one channel receive per decode step) rather than the flattened
-// per-detection view.
-func (a *Aggregator) consumeEngine() {
-	defer a.engineWG.Done()
-	seqs := make(map[uint64]uint32)
-	for batch := range a.engine.Batches() {
-		for _, det := range batch {
-			if det.Err != nil {
-				a.logf("rxnet: stream session %d segment [%d,%d): %v", det.Session, det.Start, det.End, det.Err)
-				continue
-			}
-			if len(seqs) >= maxStreamCursors {
-				// Same bound as the cursor table; restarting the
-				// per-node detection numbering is harmless (fusion
-				// keys on bits and time, not Seq).
-				seqs = make(map[uint64]uint32)
-			}
-			seqs[det.Session]++
-			// Use the stream-anchored wall time, not consumption
-			// time: segments of different sessions flushed in one
-			// batch must keep the spacing of the actual passes, or
-			// track fusion computes speeds from microsecond dt.
-			when := det.Wall
-			if when.IsZero() {
-				when = time.Now()
-			}
-			a.ingest(Detection{
-				NodeID:     SessionNodeID(det.Session),
-				Seq:        seqs[det.Session],
-				Time:       when,
-				Bits:       det.Bits,
-				RSSPeak:    det.RSSPeak,
-				NoiseFloor: det.NoiseFloor,
-				SymbolRate: det.SymbolRate,
-			})
-		}
-	}
-}
-
-// StreamStats reports the streaming engine's Stats. It returns false
-// when streaming is disabled.
-func (a *Aggregator) StreamStats() (stream.Stats, bool) {
-	if a.engine == nil {
-		return stream.Stats{}, false
-	}
-	return a.engine.Stats(), true
-}
-
-// FlushStreams forces end-of-stream on all streaming sessions, so
-// segments still waiting for their quiet hold decode now. No-op when
-// streaming is disabled.
-func (a *Aggregator) FlushStreams() {
-	if a.engine != nil {
-		a.engine.FlushAll()
 	}
 }
 
@@ -158,183 +60,51 @@ func (a *Aggregator) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	srv := Serve(ln, a.logf, a.serveConn)
 	a.mu.Lock()
-	a.ln = ln
+	a.srv = srv
 	a.mu.Unlock()
-	a.wg.Add(1)
-	go a.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return srv.Addr(), nil
 }
 
-func (a *Aggregator) acceptLoop(ln net.Listener) {
-	defer a.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-a.closed:
-				return
-			default:
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			a.logf("rxnet: accept: %v", err)
-			return
-		}
-		a.wg.Add(1)
-		go a.serveConn(conn)
-	}
-}
-
-// maxStreamCursors bounds the per-stream bookkeeping tables on the
-// long-running aggregator.
-const maxStreamCursors = 1 << 16
-
-// chunkCursor is one stream's expected chunk continuation.
-type chunkCursor struct {
-	seq  uint32
-	next uint64
-}
-
-// advanceCursor checks a chunk against the stream's cursor (shared
-// across connections, so a reconnect that resumes exactly where the
-// old connection left off continues seamlessly) and reports whether
-// the server-side decode session must be reset first, or whether the
-// chunk is a duplicate of something already consumed (a replayed
-// retransmission to discard, not a restart). shedKey, when non-zero-ok,
-// is a stream whose cursor was evicted to bound the table — the
-// caller must end its engine session too, since without a cursor its
-// continuity can no longer be checked.
-func (a *Aggregator) advanceCursor(c SampleChunk, replay bool) (reset bool, reason string, dup bool, shedKey uint64, shed bool) {
-	key := c.SessionKey()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur, ok := a.cursors[key]
-	if !ok {
-		// Bound the table: the aggregator runs indefinitely, so churn
-		// of (node, stream) pairs must not grow it forever.
-		if len(a.cursors) >= maxStreamCursors {
-			for k := range a.cursors {
-				delete(a.cursors, k)
-				shedKey, shed = k, true
-				break
-			}
-		}
-		a.cursors[key] = &chunkCursor{seq: c.Seq, next: c.Start + uint64(len(c.Samples))}
-		return false, "", false, shedKey, shed
-	}
-	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
-	if !contiguous {
-		// A chunk wholly within the cursor is a duplicate when it is
-		// provably a retransmission: either explicitly marked (replay),
-		// or mid-stream (a live Seq=1/Start=0 could be a genuine
-		// restart, which must reset — never silently discard).
-		within := SeqLEq(c.Seq, cur.seq) && c.Start+uint64(len(c.Samples)) <= cur.next
-		if within && (replay || (c.Seq != 1 && c.Start != 0)) {
-			return false, "", true, 0, false
-		}
-	}
-	cur.seq, cur.next = c.Seq, c.Start+uint64(len(c.Samples))
-	switch {
-	case contiguous:
-		return false, "", false, 0, false
-	case c.Seq == 1 || c.Start == 0:
-		return true, "stream restarted", false, 0, false
-	default:
-		return true, "discontinuity", false, 0, false
-	}
-}
-
-func (a *Aggregator) serveConn(conn net.Conn) {
-	defer a.wg.Done()
-	defer conn.Close()
+// serveConn reads one node's Hello and Detection frames, acking each
+// detection. Any other frame, sample chunks included, closes the
+// connection.
+func (a *Aggregator) serveConn(c *Conn[struct{}]) error {
 	var nodeID uint32
-	fr := newFrameReader(conn)
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
-			return
-		}
-		t, body, err := fr.next()
+		t, body, err := c.ReadFrame()
 		if err != nil {
-			select {
-			case <-a.closed:
-			default:
-				a.logf("rxnet: node %d read: %v", nodeID, err)
-			}
-			return
+			return fmt.Errorf("rxnet: node %d read: %w", nodeID, err)
 		}
 		switch t {
 		case FrameHello:
 			h, err := UnmarshalHello(body)
 			if err != nil {
-				a.logf("rxnet: bad hello: %v", err)
-				return
+				return fmt.Errorf("rxnet: bad hello: %w", err)
 			}
 			nodeID = h.NodeID
-			a.mu.Lock()
-			a.nodes[h.NodeID] = h
-			a.mu.Unlock()
+			a.RegisterNode(h)
 			a.logf("rxnet: node %d (%s) at x=%.2f m joined", h.NodeID, h.Name, h.PosX)
 		case FrameDetection:
 			d, err := UnmarshalDetection(body)
 			if err != nil {
-				a.logf("rxnet: bad detection: %v", err)
-				return
+				return fmt.Errorf("rxnet: bad detection: %w", err)
 			}
 			a.ingest(d)
-			if err := conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-				return
+			if err := c.WriteFrame(FrameAck, MarshalAck(Ack{NodeID: d.NodeID, Seq: d.Seq})); err != nil {
+				return fmt.Errorf("rxnet: ack to node %d: %w", d.NodeID, err)
 			}
-			if err := WriteFrame(conn, FrameAck, MarshalAck(Ack{NodeID: d.NodeID, Seq: d.Seq})); err != nil {
-				a.logf("rxnet: ack to node %d: %v", d.NodeID, err)
-				return
-			}
-		case FrameSampleChunk, FrameSampleReplay:
-			if a.engine == nil {
-				a.logf("rxnet: node %d streamed samples but streaming is disabled", nodeID)
-				return
-			}
-			// Pooled decode: Feed copies the samples into the session
-			// ring before returning, so the buffer can be released
-			// right after.
-			c, sb, err := unmarshalSampleChunkPooled(body)
-			if err != nil {
-				a.logf("rxnet: bad sample chunk: %v", err)
-				return
-			}
-			reset, reason, dup, shedKey, shed := a.advanceCursor(c, t == FrameSampleReplay)
-			if dup {
-				sb.Release()
-				continue
-			}
-			if shed {
-				// The shed stream's engine session must not outlive
-				// its cursor, or its next chunk would splice in with
-				// continuity unchecked.
-				a.engine.EndSession(shedKey)
-			}
-			if reset {
-				a.logf("rxnet: node %d stream %d %s at seq %d start %d; previous session flushed",
-					c.NodeID, c.StreamID, reason, c.Seq, c.Start)
-				a.engine.EndSession(c.SessionKey())
-			}
-			if err := a.engine.Feed(c.SessionKey(), c.Fs, c.Samples); err != nil {
-				a.logf("rxnet: stream feed node %d stream %d: %v", c.NodeID, c.StreamID, err)
-			}
-			sb.Release()
 		default:
-			a.logf("rxnet: unexpected frame type %d from node", t)
-			return
+			return fmt.Errorf("rxnet: unexpected frame type %d from node %d", t, nodeID)
 		}
 	}
 }
 
-// RegisterNode records a node's position/identity for track fusion
-// without a network connection — for deployments where registration
-// arrives out of band (e.g. a ChunkListener's Hello channel feeding a
-// decode pipeline while this aggregator only fuses).
+// RegisterNode records a node's position/identity for track fusion.
+// Connected nodes register with their Hello frame; call it directly
+// when registration arrives out of band (e.g. a ChunkListener's Hello
+// channel feeding a decode pipeline while this aggregator only fuses).
 func (a *Aggregator) RegisterNode(h Hello) {
 	a.mu.Lock()
 	a.nodes[h.NodeID] = h
@@ -441,31 +211,23 @@ func (a *Aggregator) Nodes() []Hello {
 	return out
 }
 
-// Close stops the listener, flushes the streaming engine (its last
-// detections still fuse into tracks) and waits for all handlers.
+// Close stops the listener, closes every node connection, waits for
+// their handlers and then closes the Subscribe channels.
 func (a *Aggregator) Close() error {
+	a.mu.Lock()
+	srv := a.srv
+	a.mu.Unlock()
 	var err error
-	a.closeOnce.Do(func() {
-		close(a.closed)
-		a.mu.Lock()
-		ln := a.ln
-		a.mu.Unlock()
-		if ln != nil {
-			err = ln.Close()
-		}
-		a.wg.Wait()
-		if a.engine != nil {
-			a.engine.Close()
-			a.engineWG.Wait()
-		}
-		a.mu.Lock()
-		subs := a.subs
-		a.subs = nil
-		a.mu.Unlock()
-		for _, sub := range subs {
-			close(sub)
-		}
-	})
+	if srv != nil {
+		err = srv.Close()
+	}
+	a.mu.Lock()
+	subs := a.subs
+	a.subs = nil
+	a.mu.Unlock()
+	for _, sub := range subs {
+		close(sub)
+	}
 	return err
 }
 
@@ -518,7 +280,8 @@ type savedBody struct {
 	body []byte
 }
 
-// Dial connects a node to the aggregator and sends its Hello.
+// Dial connects a node to a server (an Aggregator, a ChunkListener or
+// a cluster Router) and sends its Hello.
 func Dial(ctx context.Context, addr string, hello Hello) (*Node, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -581,8 +344,8 @@ func (n *Node) Publish(d Detection) error {
 
 // StreamChunk ships raw RSS samples for server-side decoding. Unlike
 // Publish it does not wait for an acknowledgement: chunk streams are
-// high-rate, TCP orders them, and the aggregator's engine absorbs
-// bursts in per-session ring buffers. The node's ID is stamped on the
+// high-rate, TCP orders them, and the decode engine behind the
+// ChunkListener absorbs bursts in per-session ring buffers. The node's ID is stamped on the
 // chunk; Seq and Start are maintained per stream automatically.
 func (n *Node) StreamChunk(streamID uint32, fs float64, samples []float64) error {
 	if err := n.pauseGate(); err != nil {

@@ -179,3 +179,28 @@ func TestDialFailsWithoutServer(t *testing.T) {
 		t.Fatal("expected connection failure")
 	}
 }
+
+// TestAggregatorRejectsSampleFrames checks the Aggregator only fuses
+// detections: a node streaming raw samples to it has its connection
+// closed instead of having the samples silently eaten.
+func TestAggregatorRejectsSampleFrames(t *testing.T) {
+	_, addr := startAggregator(t, AggregatorOptions{})
+	node := dialNode(t, addr, Hello{NodeID: 1, Name: "pole"})
+	if err := node.StreamChunk(0, 1000, []float64{1, 2, 3}); err != nil {
+		// The write itself may or may not fail depending on timing;
+		// the server closing the connection is the contract.
+		t.Logf("stream chunk write: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		// The server must eventually drop the connection: publishing
+		// a detection then fails.
+		if err := node.Publish(Detection{Time: time.Now(), Bits: []byte{1, 0}}); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("aggregator kept a connection that streamed sample frames")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}

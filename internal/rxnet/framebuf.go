@@ -26,8 +26,6 @@ type frameReader struct {
 	buf []byte
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
-
 // next reads one frame, returning its type and body. The body aliases
 // the reader's internal buffer.
 func (fr *frameReader) next() (FrameType, []byte, error) {

@@ -1,7 +1,6 @@
 package rxnet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -48,32 +47,21 @@ type ChunkEvent struct {
 // events without one (End events, hand-built test events).
 func (ev ChunkEvent) Release() { ev.Buf.Release() }
 
-// lconn is one accepted connection with a serialized write path, so
-// control frames (drain notices, NACKs) can be sent from goroutines
-// other than the connection's reader.
-type lconn struct {
-	c   net.Conn
-	wmu sync.Mutex
-}
+// lconn is one connection accepted by a ChunkListener.
+type lconn = Conn[struct{}]
 
-func (lc *lconn) writeFrame(t FrameType, body []byte) error {
-	lc.wmu.Lock()
-	defer lc.wmu.Unlock()
-	if err := lc.c.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
-	}
-	return WriteFrame(lc.c, t, body)
-}
+// maxStreamCursors bounds the per-stream bookkeeping tables on the
+// long-running listener.
+const maxStreamCursors = 1 << 16
 
 // ChunkListener accepts receiver-node connections speaking the rxnet
 // frame protocol and surfaces their raw SampleChunk frames as a
-// channel of ChunkEvents — the transport half of the aggregator's
-// streaming path, split out so a decode pipeline (not the aggregator)
-// can own the DSP. Hello frames are surfaced on a side channel for
+// channel of ChunkEvents, with stream continuity checked, for a decode
+// pipeline to consume. Hello frames are surfaced on a side channel for
 // node registration; Detection frames are rejected (nodes that decode
 // locally should talk to an Aggregator instead).
 type ChunkListener struct {
-	ln         net.Listener
+	srv        *Server[struct{}]
 	out        chan ChunkEvent
 	hellos     chan Hello
 	drainReq   chan struct{}
@@ -95,24 +83,25 @@ type ChunkListener struct {
 	mu        sync.Mutex
 	cursors   map[uint64]*streamCursor
 	refused   map[uint64]bool
-	conns     map[*lconn]struct{}
 	draining  bool
 	throttled bool
 	reg       *telemetry.Registry
 	frameErr  *telemetry.Counter
 	nodeTel   map[uint32]*telemetry.Counter
 
-	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
-// streamCursor extends the shared chunk-continuity cursor with the
-// connection the stream is arriving on, so a force-redirect can NACK
-// the right peer.
+// streamCursor is one stream's expected chunk continuation (shared
+// across connections, so a reconnect that resumes exactly where the
+// old connection left off continues seamlessly) plus the connection
+// the stream is arriving on, so a force-redirect can NACK the right
+// peer.
 type streamCursor struct {
-	chunkCursor
-	src *lconn
+	seq  uint32
+	next uint64
+	src  *lconn
 }
 
 // ChunkListenerConfig tunes a ChunkListener beyond the address.
@@ -164,7 +153,6 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 		depth = 64
 	}
 	l := &ChunkListener{
-		ln:         ln,
 		out:        make(chan ChunkEvent, depth),
 		hellos:     make(chan Hello, 64),
 		drainReq:   make(chan struct{}, 1),
@@ -173,7 +161,6 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 		paceIdle:   cfg.PaceGuardIdle,
 		cursors:    make(map[uint64]*streamCursor),
 		refused:    make(map[uint64]bool),
-		conns:      make(map[*lconn]struct{}),
 		closed:     make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
@@ -224,8 +211,9 @@ func ListenChunksConfig(addr string, cfg ChunkListenerConfig) (*ChunkListener, e
 				func() float64 { return math.Float64frombits(l.paceRatio.Load()) })
 		}
 	}
-	l.wg.Add(1)
-	go l.acceptLoop()
+	// Handlers never touch l.srv, so publishing it after Serve starts
+	// accepting is safe.
+	l.srv = Serve(ln, logf, l.serveConn)
 	return l, nil
 }
 
@@ -292,15 +280,19 @@ func (l *ChunkListener) Drain() {
 		return
 	}
 	l.draining = true
-	conns := make([]*lconn, 0, len(l.conns))
-	for lc := range l.conns {
-		conns = append(conns, lc)
-	}
 	l.mu.Unlock()
-	body := MarshalDrain(Drain{Draining: true})
-	for _, lc := range conns {
-		if err := lc.writeFrame(FrameDrain, body); err != nil {
-			l.logf("rxnet: drain notice: %v", err)
+	l.broadcast(FrameDrain, MarshalDrain(Drain{Draining: true}), "drain")
+}
+
+// broadcast sends one control frame to every connected peer. Callers
+// update the state behind it under l.mu first: a connection registered
+// after the snapshot starts its handler later, and the handler reads
+// that state under l.mu before its first read, so every peer gets the
+// notice either here or from its own handler.
+func (l *ChunkListener) broadcast(t FrameType, body []byte, what string) {
+	for _, lc := range l.srv.Conns() {
+		if err := lc.WriteFrame(t, body); err != nil {
+			l.logf("rxnet: %s notice: %v", what, err)
 		}
 	}
 }
@@ -317,20 +309,11 @@ func (l *ChunkListener) SetThrottled(paused bool) {
 		return
 	}
 	l.throttled = paused
-	conns := make([]*lconn, 0, len(l.conns))
-	for lc := range l.conns {
-		conns = append(conns, lc)
-	}
 	l.mu.Unlock()
 	if paused {
 		l.throttles.Add(1)
 	}
-	body := MarshalThrottle(Throttle{Paused: paused})
-	for _, lc := range conns {
-		if err := lc.writeFrame(FrameThrottle, body); err != nil {
-			l.logf("rxnet: throttle notice: %v", err)
-		}
-	}
+	l.broadcast(FrameThrottle, MarshalThrottle(Throttle{Paused: paused}), "throttle")
 }
 
 // Throttled reports whether the listener currently signals
@@ -386,7 +369,7 @@ func (l *ChunkListener) ForceRedirect(session uint64) bool {
 	if cur.src != nil {
 		l.nacksSent.Add(1)
 		nack := StreamNack{Session: session, LastSeq: cur.seq}
-		if err := cur.src.writeFrame(FrameStreamNack, MarshalStreamNack(nack)); err != nil {
+		if err := cur.src.WriteFrame(FrameStreamNack, MarshalStreamNack(nack)); err != nil {
 			l.logf("rxnet: redirect nack for session %d: %v", session, err)
 		}
 	}
@@ -416,7 +399,7 @@ func (l *ChunkListener) AckSession(session uint64) bool {
 	}
 	l.acksSent.Add(1)
 	ack := StreamAck{Session: session, LastSeq: seq}
-	if err := src.writeFrame(FrameStreamAck, MarshalStreamAck(ack)); err != nil {
+	if err := src.WriteFrame(FrameStreamAck, MarshalStreamAck(ack)); err != nil {
 		l.logf("rxnet: ack for session %d: %v", session, err)
 		return false
 	}
@@ -477,7 +460,7 @@ func (l *ChunkListener) countFrameErr() {
 }
 
 // Addr returns the bound listen address.
-func (l *ChunkListener) Addr() string { return l.ln.Addr().String() }
+func (l *ChunkListener) Addr() string { return l.srv.Addr() }
 
 // Chunks is the stream of sample deliveries. It is closed by Close
 // after all connection handlers have exited.
@@ -488,49 +471,29 @@ func (l *ChunkListener) Chunks() <-chan ChunkEvent { return l.out }
 // sample delivery.
 func (l *ChunkListener) Hellos() <-chan Hello { return l.hellos }
 
-func (l *ChunkListener) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			select {
-			case <-l.closed:
-				return
-			default:
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			l.logf("rxnet: chunk accept: %v", err)
-			return
-		}
-		l.wg.Add(1)
-		go l.serveConn(conn)
-	}
-}
-
 // admit applies cluster admission control and continuity checking to
 // one chunk. accept=false means the chunk must be discarded: counted
 // in RefusedChunks (nack=true additionally means this is the stream's
 // first refusal and the peer must be sent a StreamNack), or in
 // DuplicateChunks when dup=true — a retransmission the cursor already
 // consumed (router failover replay), discarded without disturbing the
-// decode session. reset has the cursor-table semantics shared with
-// the aggregator's streaming path: a reconnect that resumes exactly
-// where the old connection left off continues seamlessly, anything
-// else flags a reset. replay marks an explicitly-retransmitted chunk
+// decode session. A reconnect that resumes exactly where the old
+// connection left off continues seamlessly; anything else flags a
+// reset. replay marks an explicitly-retransmitted chunk
 // (FrameSampleReplay): within the cursor it is always a duplicate —
 // never a stream restart — while a live chunk is only treated as a
 // duplicate when unambiguous (a live Seq=1/Start=0 could be a genuine
-// restart and must reset instead).
-func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool) {
+// restart and must reset instead). shed, when set, names a stream
+// whose cursor was evicted to bound the table: the caller must end its
+// decode session (after l.mu is released — emitEnd can block), or the
+// stream's next chunk would splice on with continuity unchecked.
+func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, nack, reset, dup bool, shed uint64, shedOK bool) {
 	key := c.SessionKey()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.refused[key] {
 		if l.draining {
-			return false, false, false, false
+			return false, false, false, false, 0, false
 		}
 		// Not draining anymore: the ring moved the stream back here.
 		// Accept it as a fresh stream (the redirect already released
@@ -543,19 +506,17 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			// New streams are refused while draining; in-flight ones
 			// keep flowing so the drain stays lossless.
 			l.refuse(key)
-			return false, true, false, false
+			return false, true, false, false, 0, false
 		}
 		if len(l.cursors) >= maxStreamCursors {
 			for k := range l.cursors {
 				delete(l.cursors, k)
+				shed, shedOK = k, true
 				break
 			}
 		}
-		l.cursors[key] = &streamCursor{
-			chunkCursor: chunkCursor{seq: c.Seq, next: c.Start + uint64(len(c.Samples))},
-			src:         src,
-		}
-		return true, false, false, false
+		l.cursors[key] = &streamCursor{seq: c.Seq, next: c.Start + uint64(len(c.Samples)), src: src}
+		return true, false, false, false, shed, shedOK
 	}
 	contiguous := c.Seq == cur.seq+1 && c.Start == cur.next
 	if !contiguous {
@@ -566,66 +527,49 @@ func (l *ChunkListener) admit(c SampleChunk, src *lconn, replay bool) (accept, n
 			// after a failover the replaying conn IS the stream's new
 			// source, and control frames must go there.
 			cur.src = src
-			return false, false, false, true
+			return false, false, false, true, 0, false
 		}
 	}
 	cur.seq, cur.next = c.Seq, c.Start+uint64(len(c.Samples))
 	cur.src = src
-	return true, false, !contiguous, false
+	return true, false, !contiguous, false, 0, false
 }
 
-func (l *ChunkListener) serveConn(conn net.Conn) {
-	defer l.wg.Done()
-	defer conn.Close()
-	lc := &lconn{c: conn}
+func (l *ChunkListener) serveConn(lc *lconn) error {
+	// lc is already registered, so a Drain or SetThrottled that flips
+	// its flag after this read reaches lc through broadcast.
 	l.mu.Lock()
-	l.conns[lc] = struct{}{}
 	draining := l.draining
 	throttled := l.throttled
 	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.conns, lc)
-		l.mu.Unlock()
-	}()
 	if draining {
 		// A peer connecting to a draining engine (e.g. a router
 		// redial) learns immediately.
-		if err := lc.writeFrame(FrameDrain, MarshalDrain(Drain{Draining: true})); err != nil {
-			return
+		if err := lc.WriteFrame(FrameDrain, MarshalDrain(Drain{Draining: true})); err != nil {
+			return err
 		}
 	}
 	if throttled {
 		// Likewise for a live backpressure signal.
-		if err := lc.writeFrame(FrameThrottle, MarshalThrottle(Throttle{Paused: true})); err != nil {
-			return
+		if err := lc.WriteFrame(FrameThrottle, MarshalThrottle(Throttle{Paused: true})); err != nil {
+			return err
 		}
 	}
 	var nodeID uint32
-	// One frame buffer per connection: every frame body lands in it
-	// (and is fully consumed before the next read), so the read loop
-	// allocates nothing per frame.
-	fr := newFrameReader(conn)
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(2 * time.Minute)); err != nil {
-			return
-		}
-		t, body, err := fr.next()
+		// Every frame body lands in the connection's one read buffer
+		// and is fully consumed before the next read, so the read loop
+		// allocates nothing per frame.
+		t, body, err := lc.ReadFrame()
 		if err != nil {
-			select {
-			case <-l.closed:
-			default:
-				l.logf("rxnet: chunk node %d read: %v", nodeID, err)
-			}
-			return
+			return fmt.Errorf("rxnet: chunk node %d read: %w", nodeID, err)
 		}
 		switch t {
 		case FrameHello:
 			h, err := UnmarshalHello(body)
 			if err != nil {
 				l.countFrameErr()
-				l.logf("rxnet: bad hello: %v", err)
-				return
+				return fmt.Errorf("rxnet: bad hello: %w", err)
 			}
 			nodeID = h.NodeID
 			select {
@@ -641,15 +585,17 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			c, sb, err := unmarshalSampleChunkPooled(body)
 			if err != nil {
 				l.countFrameErr()
-				l.logf("rxnet: bad sample chunk: %v", err)
-				return
+				return fmt.Errorf("rxnet: bad sample chunk: %w", err)
 			}
 			if l.reg != nil {
 				l.ingestCounter(c.NodeID).Add(int64(len(body)))
 			}
 			l.received.Add(1)
 			l.paceGuard(c)
-			accept, nack, reset, dup := l.admit(c, lc, t == FrameSampleReplay)
+			accept, nack, reset, dup, shed, shedOK := l.admit(c, lc, t == FrameSampleReplay)
+			if shedOK {
+				l.emitEnd(shed)
+			}
 			if reset {
 				l.resets.Add(1)
 			}
@@ -666,9 +612,8 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 					// LastSeq 0: nothing of the stream was consumed
 					// here; the router replays it from the beginning.
 					body := MarshalStreamNack(StreamNack{Session: c.SessionKey()})
-					if err := lc.writeFrame(FrameStreamNack, body); err != nil {
-						l.logf("rxnet: stream nack: %v", err)
-						return
+					if err := lc.WriteFrame(FrameStreamNack, body); err != nil {
+						return fmt.Errorf("rxnet: stream nack: %w", err)
 					}
 				}
 				continue
@@ -688,7 +633,7 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 				case <-l.closed:
 					l.dropped.Add(1)
 					sb.Release()
-					return
+					return nil
 				default:
 					l.dropped.Add(1)
 					sb.Release()
@@ -709,14 +654,13 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 					l.dropped.Add(1)
 					sb.Release()
 				}
-				return
+				return nil
 			}
 		case FrameStreamEnd:
 			e, err := UnmarshalStreamEnd(body)
 			if err != nil {
 				l.countFrameErr()
-				l.logf("rxnet: bad stream end: %v", err)
-				return
+				return fmt.Errorf("rxnet: bad stream end: %w", err)
 			}
 			l.endsRecv.Add(1)
 			l.mu.Lock()
@@ -731,8 +675,7 @@ func (l *ChunkListener) serveConn(conn net.Conn) {
 			}
 		default:
 			l.countFrameErr()
-			l.logf("rxnet: chunk listener got unexpected frame type %d", t)
-			return
+			return fmt.Errorf("rxnet: chunk listener got unexpected frame type %d", t)
 		}
 	}
 }
@@ -747,17 +690,7 @@ func (l *ChunkListener) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.closed)
-		err = l.ln.Close()
-		l.mu.Lock()
-		conns := make([]*lconn, 0, len(l.conns))
-		for lc := range l.conns {
-			conns = append(conns, lc)
-		}
-		l.mu.Unlock()
-		for _, lc := range conns {
-			lc.c.Close()
-		}
-		l.wg.Wait()
+		err = l.srv.Close()
 		close(l.out)
 		close(l.hellos)
 	})

@@ -84,18 +84,23 @@ func TestChunkListenerDeliversAndResets(t *testing.T) {
 
 	// A reconnecting node restarts its per-stream numbering: the
 	// first chunk of the new connection must arrive flagged Reset so
-	// the decode session cannot splice epochs.
-	node2, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	if err := node2.StreamChunk(3, 2000, samples[:512]); err != nil {
-		t.Fatal(err)
-	}
-	evs = collectChunks(t, l, 1)
-	if !evs[0].Reset {
-		t.Fatal("restarted stream not flagged as reset")
+	// the decode session cannot splice epochs. That holds whether the
+	// restart is shorter than what the stream already delivered (it
+	// falls inside the old cursor and must not pass for a duplicate) or
+	// runs past it (a connection cut mid-stream, then a full resend).
+	for _, n := range []int{512, len(samples)} {
+		node2, err := Dial(ctx, l.Addr(), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node2.StreamChunk(3, 2000, samples[:n]); err != nil {
+			t.Fatal(err)
+		}
+		evs = collectChunks(t, l, 1)
+		node2.Close()
+		if !evs[0].Reset || len(evs[0].Samples) != n {
+			t.Fatalf("restart of %d samples delivered %d samples, reset=%v; want a reset", n, len(evs[0].Samples), evs[0].Reset)
+		}
 	}
 }
 
@@ -232,7 +237,8 @@ func TestChunkListenerCloseDrainsQueued(t *testing.T) {
 
 // TestNodeResumeStreamReconnect proves the lossless reconnect path: a
 // node that saves its stream state, redials, and resumes continues
-// the same session with no Reset — no duplicate, no gap.
+// the same session with no Reset — no duplicate, no gap — including
+// when the resumed remainder is split across several wire chunks.
 func TestNodeResumeStreamReconnect(t *testing.T) {
 	l, err := ListenChunks("127.0.0.1:0", t.Logf)
 	if err != nil {
@@ -243,37 +249,45 @@ func TestNodeResumeStreamReconnect(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	hello := Hello{NodeID: 3, Name: "pole-3"}
-	node, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := make([]float64, 300)
-	if err := node.StreamChunk(5, 1000, samples[:200]); err != nil {
-		t.Fatal(err)
-	}
-	first := collectChunks(t, l, 1) // cursor established before the reconnect
-	seq, start := node.StreamState(5)
-	if seq != 1 || start != 200 {
-		t.Fatalf("stream state (%d, %d), want (1, 200)", seq, start)
-	}
-	node.Close()
+	for i, tc := range []struct{ total, cut, chunks int }{
+		{total: 300, cut: 200, chunks: 1},
+		{total: 2*MaxChunkSamples + 200, cut: 100, chunks: 3},
+	} {
+		stream := uint32(5 + i)
+		samples := make([]float64, tc.total)
+		node, err := Dial(ctx, l.Addr(), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.StreamChunk(stream, 1000, samples[:tc.cut]); err != nil {
+			t.Fatal(err)
+		}
+		first := collectChunks(t, l, 1) // cursor established before the reconnect
+		seq, start := node.StreamState(stream)
+		if seq != 1 || start != uint64(tc.cut) {
+			t.Fatalf("stream state (%d, %d), want (1, %d)", seq, start, tc.cut)
+		}
+		node.Close()
 
-	node2, err := Dial(ctx, l.Addr(), hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	node2.ResumeStream(5, seq, start)
-	if err := node2.StreamChunk(5, 1000, samples[200:]); err != nil {
-		t.Fatal(err)
-	}
-
-	evs := collectChunks(t, l, 1)
-	if first[0].Reset || evs[0].Reset {
-		t.Fatalf("resumed stream flagged reset: %v %v", first[0].Reset, evs[0].Reset)
-	}
-	if got := len(first[0].Samples) + len(evs[0].Samples); got != len(samples) {
-		t.Fatalf("delivered %d samples across reconnect, want %d", got, len(samples))
+		node2, err := Dial(ctx, l.Addr(), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node2.ResumeStream(stream, seq, start)
+		if err := node2.StreamChunk(stream, 1000, samples[tc.cut:]); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for _, ev := range append(first, collectChunks(t, l, tc.chunks)...) {
+			if ev.Reset {
+				t.Fatalf("case %d: resumed stream flagged reset", i)
+			}
+			got += len(ev.Samples)
+		}
+		node2.Close()
+		if got != tc.total {
+			t.Fatalf("case %d: delivered %d samples across reconnect, want %d", i, got, tc.total)
+		}
 	}
 }
 
@@ -450,5 +464,45 @@ func TestChunkListenerForceRedirectAndStreamEnd(t *testing.T) {
 	case <-l.DrainRequests():
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain request not surfaced")
+	}
+}
+
+// TestChunkListenerShedCursorEndsSession drives admit past the real
+// cursor-table bound: the stream whose cursor is shed to make room
+// gets an End event, so its decode session cannot outlive the cursor
+// and splice its next chunk on with continuity unchecked.
+func TestChunkListenerShedCursorEndsSession(t *testing.T) {
+	l, err := ListenChunks("127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	one := []float64{1}
+	for sid := 0; sid < maxStreamCursors; sid++ {
+		c := SampleChunk{NodeID: 1, StreamID: uint32(sid), Seq: 1, Fs: 1000, Samples: one}
+		if accept, _, _, _, _, shed := l.admit(c, nil, false); !accept || shed {
+			t.Fatalf("stream %d: accept=%v shed=%v below the bound", sid, accept, shed)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	node, err := Dial(ctx, l.Addr(), Hello{NodeID: 2, Name: "pole-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.StreamChunk(0, 1000, one); err != nil {
+		t.Fatal(err)
+	}
+	evs := collectChunks(t, l, 2)
+	if !evs[0].End || evs[0].NodeID != 1 {
+		t.Fatalf("first event %+v, want the End of a shed node-1 stream", evs[0])
+	}
+	if evs[1].End || evs[1].NodeID != 2 || len(evs[1].Samples) != 1 {
+		t.Fatalf("second event %+v, want node 2's chunk", evs[1])
+	}
+	if n := len(l.Sessions()); n != maxStreamCursors {
+		t.Fatalf("%d cursors after shedding, want %d", n, maxStreamCursors)
 	}
 }

@@ -1,86 +1,19 @@
-package rxnet
+package rxnet_test
 
 import (
-	"bytes"
 	"context"
-	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
-	"passivelight/internal/coding"
-	"passivelight/internal/decoder"
-	"passivelight/internal/stream"
+	"passivelight"
+	"passivelight/internal/rxnet"
 )
 
-func TestSampleChunkRoundTrip(t *testing.T) {
-	c := SampleChunk{
-		NodeID:   3,
-		StreamID: 9,
-		Seq:      42,
-		Fs:       1000,
-		Start:    123456,
-		Samples:  []float64{1.5, -2.25, 0, 6200.125},
-	}
-	body, err := MarshalSampleChunk(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameSampleChunk, body); err != nil {
-		t.Fatal(err)
-	}
-	ft, rb, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != FrameSampleChunk {
-		t.Fatalf("frame type %d", ft)
-	}
-	got, err := UnmarshalSampleChunk(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NodeID != c.NodeID || got.StreamID != c.StreamID || got.Seq != c.Seq ||
-		got.Fs != c.Fs || got.Start != c.Start || len(got.Samples) != len(c.Samples) {
-		t.Fatalf("round trip %+v != %+v", got, c)
-	}
-	for i := range c.Samples {
-		if got.Samples[i] != c.Samples[i] {
-			t.Fatalf("sample %d: %v != %v", i, got.Samples[i], c.Samples[i])
-		}
-	}
-	if got.SessionKey() != uint64(3)<<32|9 {
-		t.Fatalf("session key %d", got.SessionKey())
-	}
-}
-
-func TestSampleChunkLimits(t *testing.T) {
-	if _, err := MarshalSampleChunk(SampleChunk{Fs: 1000, Samples: make([]float64, MaxChunkSamples+1)}); err == nil {
-		t.Fatal("oversized chunk should fail to marshal")
-	}
-	if _, err := MarshalSampleChunk(SampleChunk{Fs: 0, Samples: []float64{1}}); err == nil {
-		t.Fatal("zero fs should fail to marshal")
-	}
-	body, err := MarshalSampleChunk(SampleChunk{Fs: 1000, Samples: []float64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalSampleChunk(body[:len(body)-1]); err == nil {
-		t.Fatal("truncated chunk should fail to unmarshal")
-	}
-	bad := append([]byte(nil), body...)
-	nan := math.Float64bits(math.NaN())
-	for i := 0; i < 8; i++ {
-		bad[12+i] = byte(nan >> (56 - 8*i))
-	}
-	if _, err := UnmarshalSampleChunk(bad); err == nil {
-		t.Fatal("NaN fs should fail to unmarshal")
-	}
-}
-
-// packetStream renders a synthetic node observation: quiet, packet,
-// quiet.
+// packetStream synthesizes one quiet-packet-quiet observation sampled
+// at fs, with symbolDur seconds per symbol and gapSec of quiet on each
+// side.
 func packetStream(payload string, fs, symbolDur, gapSec float64, seed int64) []float64 {
 	const high, low, baseline = 90.0, 12.0, 10.0
 	rng := rand.New(rand.NewSource(seed))
@@ -91,9 +24,9 @@ func packetStream(payload string, fs, symbolDur, gapSec float64, seed int64) []f
 		}
 	}
 	quiet(int(gapSec * fs))
-	for _, s := range coding.MustPacket(payload).Symbols() {
+	for _, s := range passivelight.MustPacket(payload).Symbols() {
 		level := low
-		if s == coding.High {
+		if s == passivelight.High {
 			level = high
 		}
 		for i := 0; i < int(symbolDur*fs); i++ {
@@ -104,115 +37,112 @@ func packetStream(payload string, fs, symbolDur, gapSec float64, seed int64) []f
 	return out
 }
 
-// TestStreamingNodesToTrack is the full loop: nodes stream raw
-// samples, the aggregator decodes them server-side and fuses the
-// detections into an object track.
-func TestStreamingNodesToTrack(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		TrackGap: time.Minute,
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 12}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
+// streamDecoder is the server side of raw-sample streaming as
+// plnet -mode stream runs it: a ChunkListener-backed NetSource feeding
+// a streaming Pipeline. It records every successful decode.
+type streamDecoder struct {
+	addr string
+	pipe *passivelight.Pipeline
+
+	mu      sync.Mutex
+	decoded []passivelight.Event
+}
+
+func startStreamDecoder(t *testing.T, symbols int) *streamDecoder {
+	t.Helper()
+	src, err := passivelight.ListenSource("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agg.Close()
-
-	const payload = "1001"
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var sent int64
-	for i, x := range []float64{0, 25, 50} {
-		node, err := Dial(ctx, addr, Hello{
-			NodeID: uint32(i + 1),
-			PosX:   x,
-			Height: 0.75,
-			Name:   "pole",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := packetStream(payload, 1000, 0.2, 2.0, int64(i+1))
-		for lo := 0; lo < len(samples); lo += 700 {
-			hi := min(lo+700, len(samples))
-			if err := node.StreamChunk(0, 1000, samples[lo:hi]); err != nil {
-				t.Fatal(err)
+	d := &streamDecoder{addr: src.Addr()}
+	d.pipe, err = passivelight.NewPipeline(src, passivelight.Threshold(),
+		passivelight.WithExpectedSymbols(symbols),
+		passivelight.WithSink(func(ev passivelight.Event) {
+			if ev.Err != nil {
+				t.Logf("session %d segment [%d,%d): %v", ev.Session, ev.Start, ev.End, ev.Err)
+				return
 			}
-		}
-		node.Close()
-		// Wait for the server to ingest this node's samples (the TCP
-		// stream is asynchronous), then flush its open segment. The
-		// dial-order spacing keeps detection timestamps ordered.
-		sent += int64(len(samples))
-		ingested := time.Now().Add(10 * time.Second)
-		for {
-			st, ok := agg.StreamStats()
-			if ok && st.SamplesIn >= sent {
-				break
-			}
-			if time.Now().After(ingested) {
-				t.Fatalf("server ingested %v of %d samples", st, sent)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		agg.FlushStreams()
-		time.Sleep(30 * time.Millisecond)
+			d.mu.Lock()
+			d.decoded = append(d.decoded, ev)
+			d.mu.Unlock()
+		}),
+	)
+	if err != nil {
+		src.Close()
+		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	events, err := d.pipe.Stream(ctx)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		for range events { // the sink does the work
+		}
+		close(drained)
+	}()
+	// Stop the pipeline before the test returns, so its sink never
+	// runs against a finished test.
+	t.Cleanup(func() {
+		cancel()
+		<-drained
+	})
+	return d
+}
 
+// waitIngest blocks until the pipeline has taken in want samples.
+func (d *streamDecoder) waitIngest(t *testing.T, want int64) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		tracks := agg.Tracks()
-		if len(tracks) > 0 {
-			last := tracks[len(tracks)-1]
-			if BitsString(last.ObjectBits) != payload {
-				t.Fatalf("track object %s, want %s", BitsString(last.ObjectBits), payload)
-			}
-			if last.Confirmations < 2 {
-				t.Fatalf("confirmations %d", last.Confirmations)
-			}
-			break
-		}
+	for d.pipe.Stats().SamplesIn < want {
 		if time.Now().After(deadline) {
-			st, _ := agg.StreamStats()
-			t.Fatalf("no track fused; stream stats %+v", st)
+			t.Fatalf("ingested %d, want %d", d.pipe.Stats().SamplesIn, want)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	st, ok := agg.StreamStats()
-	if !ok {
-		t.Fatal("streaming should be enabled")
-	}
-	if st.Detections < 3 {
-		t.Fatalf("engine decoded %d detections, want >= 3", st.Detections)
-	}
-	if st.SamplesIn == 0 {
-		t.Fatal("engine saw no samples")
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestStreamingReconnectResetsSession checks the Seq/Start fields do
-// their job: a node that reconnects and restarts its stream from
-// zero must not splice into the stale server-side session.
-func TestStreamingReconnectResetsSession(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 8}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// waitDecoded flushes open segments and blocks until payload has been
+// decoded, returning the first event that carries it.
+func (d *streamDecoder) waitDecoded(t *testing.T, payload string) passivelight.Event {
+	t.Helper()
+	d.pipe.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.mu.Lock()
+		got := append([]passivelight.Event(nil), d.decoded...)
+		d.mu.Unlock()
+		var bits []string
+		for _, ev := range got {
+			if ev.BitString() == payload {
+				return ev
+			}
+			bits = append(bits, ev.BitString())
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("payload %s not decoded; decoded %q", payload, bits)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	defer agg.Close()
+}
+
+// TestStreamingReconnectResetsSession: a node whose connection dies
+// mid-packet redials and resends its stream from the start. The
+// restart reaches the decoder as a session reset, so the full resend
+// decodes instead of being spliced onto two-thirds of a packet.
+func TestStreamingReconnectResetsSession(t *testing.T) {
+	const payload = "10"
+	d := startStreamDecoder(t, 4+2*len(payload))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	samples := packetStream("10", 1000, 0.2, 1.5, 4)
-	half := len(samples) * 2 / 3 // cuts inside the packet
-	connect := func() *Node {
-		n, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
+	samples := packetStream(payload, 1000, 0.2, 1.5, 4)
+	const gap = 1500                    // 1.5 s of quiet at 1 kHz on each side
+	cut := gap + (len(samples)-2*gap)/2 // the middle of the packet
+	connect := func() *rxnet.Node {
+		n, err := rxnet.Dial(ctx, d.addr, rxnet.Hello{NodeID: 9, Name: "pole"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,156 +150,67 @@ func TestStreamingReconnectResetsSession(t *testing.T) {
 	}
 	// First connection dies mid-packet.
 	n1 := connect()
-	if err := n1.StreamChunk(0, 1000, samples[:half]); err != nil {
+	if err := n1.StreamChunk(0, 1000, samples[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	n1.Close()
-	waitIngest := func(want int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, _ := agg.StreamStats()
-			if st.SamplesIn >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ingested %d, want %d", st.SamplesIn, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitIngest(int64(half))
-	// Reconnect and replay the whole stream from the start. Without
-	// the restart reset, the engine session would see a splice
-	// (two-thirds of a packet followed by a full one).
+	d.waitIngest(t, int64(cut))
+	// Reconnect and replay the whole stream from the start. Nothing of
+	// the resend may pass for a duplicate of the first connection.
 	n2 := connect()
 	if err := n2.StreamChunk(0, 1000, samples); err != nil {
 		t.Fatal(err)
 	}
 	n2.Close()
-	waitIngest(int64(half + len(samples)))
-	agg.FlushStreams()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := agg.StreamStats()
-		if st.Detections >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no detection after reconnect: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStreamingDisabledRejectsChunks checks a chunk sent to a
-// detection-only aggregator closes the connection instead of silently
-// eating samples.
-func TestStreamingDisabledRejectsChunks(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	node, err := Dial(ctx, addr, Hello{NodeID: 1, Name: "pole"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	if err := node.StreamChunk(0, 1000, []float64{1, 2, 3}); err != nil {
-		// The write itself may or may not fail depending on timing;
-		// the server closing the connection is the contract.
-		t.Logf("stream chunk write: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// The server must eventually drop the connection: publishing
-		// a detection then fails.
-		err := node.Publish(Detection{Time: time.Now(), Bits: []byte{1, 0}})
-		if err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server kept the connection despite streaming being disabled")
-		}
-		time.Sleep(50 * time.Millisecond)
+	d.waitIngest(t, int64(cut+len(samples)))
+	// The restart began a fresh decode session: the packet's offsets
+	// count from the resend's first sample, not from the cut prefix.
+	if ev := d.waitDecoded(t, payload); ev.End > int64(len(samples)) {
+		t.Fatalf("packet decoded at [%d,%d), past the %d-sample resend: the restart was spliced onto the cut prefix",
+			ev.Start, ev.End, len(samples))
 	}
 }
 
 // TestStreamingReconnectResumesSession is the lossless counterpart of
-// the reset test: a node that saves its stream state and resumes
-// after redialing continues the SAME engine session — the packet cut
-// by the connection loss still decodes, no sample is duplicated and
-// none is lost.
+// the reset test: a node that saves its stream state and resumes after
+// redialing continues the SAME decode session — the packet cut by the
+// connection loss still decodes, no sample is duplicated and none is
+// lost.
 func TestStreamingReconnectResumesSession(t *testing.T) {
-	agg := NewAggregator(AggregatorOptions{
-		Streaming: &stream.EngineConfig{
-			Session: stream.Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 8}},
-		},
-	})
-	addr, err := agg.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
+	const payload = "10"
+	d := startStreamDecoder(t, 4+2*len(payload))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	samples := packetStream("10", 1000, 0.2, 1.5, 4)
-	half := len(samples) * 2 / 3 // cuts inside the packet
-	waitIngest := func(want int64) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			st, _ := agg.StreamStats()
-			if st.SamplesIn >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ingested %d, want %d", st.SamplesIn, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	samples := packetStream(payload, 1000, 0.2, 1.5, 4)
+	const gap = 1500                    // 1.5 s of quiet at 1 kHz on each side
+	cut := gap + (len(samples)-2*gap)/2 // the middle of the packet
 
-	n1, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
+	n1, err := rxnet.Dial(ctx, d.addr, rxnet.Hello{NodeID: 9, Name: "pole"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n1.StreamChunk(0, 1000, samples[:half]); err != nil {
+	if err := n1.StreamChunk(0, 1000, samples[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	seq, start := n1.StreamState(0)
 	n1.Close()
-	waitIngest(int64(half))
+	d.waitIngest(t, int64(cut))
 
-	n2, err := Dial(ctx, addr, Hello{NodeID: 9, Name: "pole"})
+	n2, err := rxnet.Dial(ctx, d.addr, rxnet.Hello{NodeID: 9, Name: "pole"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n2.ResumeStream(0, seq, start)
-	if err := n2.StreamChunk(0, 1000, samples[half:]); err != nil {
+	if err := n2.StreamChunk(0, 1000, samples[cut:]); err != nil {
 		t.Fatal(err)
 	}
 	n2.Close()
-	waitIngest(int64(len(samples)))
-	agg.FlushStreams()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := agg.StreamStats()
-		if st.Detections >= 1 {
-			// Exactly the stream's samples were fed: a duplicate (full
-			// replay) would show half+len, a gap fewer.
-			if st.SamplesIn != int64(len(samples)) {
-				t.Fatalf("engine saw %d samples, want exactly %d", st.SamplesIn, len(samples))
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("packet spanning the reconnect did not decode: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	d.waitIngest(t, int64(len(samples)))
+	d.waitDecoded(t, payload)
+	// Exactly the stream's samples were fed: a duplicate (full replay)
+	// would show cut+len, a gap fewer.
+	if got := d.pipe.Stats().SamplesIn; got != int64(len(samples)) {
+		t.Fatalf("pipeline saw %d samples, want exactly %d", got, len(samples))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -380,6 +381,118 @@ func TestPipelineNetSource(t *testing.T) {
 	}
 	if !errors.Is(pipe.Err(), context.Canceled) {
 		t.Fatalf("pipeline error %v after cancel", pipe.Err())
+	}
+}
+
+// TestStreamingNodesToTrack is the full loop `plnet -mode stream`
+// runs: nodes stream raw samples to a NetSource, a Pipeline decodes
+// them, and its sink hands each detection to an Aggregator, which
+// fuses them into one object track.
+func TestStreamingNodesToTrack(t *testing.T) {
+	const payload = "1001"
+	agg := rxnet.NewAggregator(rxnet.AggregatorOptions{TrackGap: time.Minute})
+	defer agg.Close()
+	src, err := ListenSource("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.OnHello(func(h NodeHello) { agg.RegisterNode(h) })
+	var decoded atomic.Int64
+	pipe, err := NewPipeline(src, TwoPhase(),
+		WithExpectedSymbols(4+2*len(payload)),
+		WithSink(func(ev Event) {
+			if ev.Err != nil {
+				t.Logf("session %d segment [%d,%d): %v", ev.Session, ev.Start, ev.End, ev.Err)
+				return
+			}
+			decoded.Add(1)
+			agg.Ingest(rxnet.Detection{
+				NodeID:     rxnet.SessionNodeID(ev.Session),
+				Time:       ev.Wall,
+				Bits:       ev.Bits,
+				RSSPeak:    ev.RSSPeak,
+				NoiseFloor: ev.NoiseFloor,
+				SymbolRate: ev.SymbolRate,
+			})
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	events, err := pipe.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		for range events { // the sink does the work
+		}
+		close(drained)
+	}()
+	// Stop the pipeline before the test returns, so its sink never
+	// logs into a finished test.
+	defer func() {
+		cancel()
+		<-drained
+	}()
+
+	var sent int64
+	for i, x := range []float64{0, 25, 50} {
+		node, err := rxnet.Dial(ctx, src.Addr(), rxnet.Hello{NodeID: uint32(i + 1), PosX: x, Height: 0.75, Name: "pole"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same rendered car pass plnet streams for each pole.
+		link, _, err := (OutdoorCarPass{Payload: payload, NoiseFloorLux: 6200, ReceiverHeight: 0.75, Seed: int64(i + 1)}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := link.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for chunk := range tr.Chunks(700) {
+			if err := node.StreamChunk(0, tr.Fs, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		node.Close()
+		// Wait for the pipeline to ingest this node's samples (the TCP
+		// stream is asynchronous), then flush its open segment. The
+		// dial-order spacing keeps detection timestamps ordered.
+		sent += int64(tr.Len())
+		deadline := time.Now().Add(10 * time.Second)
+		for pipe.Stats().SamplesIn < sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("pipeline ingested %d of %d samples", pipe.Stats().SamplesIn, sent)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		pipe.Flush()
+		time.Sleep(30 * time.Millisecond)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if tracks := agg.Tracks(); len(tracks) > 0 {
+			last := tracks[len(tracks)-1]
+			if got := rxnet.BitsString(last.ObjectBits); got != payload {
+				t.Fatalf("track object %s, want %s", got, payload)
+			}
+			if last.Confirmations < 2 {
+				t.Fatalf("confirmations %d", last.Confirmations)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no track fused from %d decoded detections", decoded.Load())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := decoded.Load(); n < 3 {
+		t.Fatalf("pipeline decoded %d detections, want >= 3 (one per node)", n)
 	}
 }
 
