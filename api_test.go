@@ -154,7 +154,7 @@ func TestFacadeStreaming(t *testing.T) {
 	if st.Sessions != 1 || st.SamplesIn != int64(tr.Len()) || st.Detections != 1 {
 		t.Fatalf("engine stats %+v", st)
 	}
-	det := <-eng.Detections()
+	det := (<-eng.Batches())[0]
 	if det.Err != nil || det.BitString() != packet.BitString() {
 		t.Fatalf("engine detection %q (err %v)", det.BitString(), det.Err)
 	}

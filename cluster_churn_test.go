@@ -273,8 +273,10 @@ func TestClusterChurnSelfHealing(t *testing.T) {
 	defer faultNode.Close()
 	// Stream until the dice land at least one fault. The roll count
 	// depends on how the proxy's relay loop slices the byte stream, so
-	// a fixed chunk budget is not deterministic — the loop is.
-	for i := 0; i < 400 && inj.Injected() == 0; i++ {
+	// a fixed chunk budget is not deterministic — the loop is. Faults
+	// can already land on the Hello, so send at least one chunk: the
+	// partition's redial below must have a buffered tail to resend.
+	for i := 0; i < 400 && (i == 0 || inj.Injected() == 0); i++ {
 		if err := streamZeros(faultNode, 1, 1); err != nil {
 			t.Fatalf("fault probe (chunk %d): %v", i, err)
 		}

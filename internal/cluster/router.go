@@ -227,6 +227,12 @@ type Router struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
+	// throttleMu serializes propagateThrottle. Each call snapshots the
+	// throttled engines and then applies the snapshot; unserialized, a
+	// stale snapshot applied last left nodes paused after every engine
+	// had recovered.
+	throttleMu sync.Mutex
+
 	chunksFwd       atomic.Int64
 	streams         atomic.Int64
 	handoffs        atomic.Int64
@@ -824,6 +830,8 @@ func (r *Router) readUpstream(up *upstream, conn net.Conn) {
 // while any engine its streams feed is throttled, and resumes when
 // the last of them recovers.
 func (r *Router) propagateThrottle() {
+	r.throttleMu.Lock()
+	defer r.throttleMu.Unlock()
 	r.mu.Lock()
 	hot := make(map[string]bool)
 	for id, up := range r.ups {

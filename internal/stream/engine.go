@@ -47,9 +47,9 @@ type EngineConfig struct {
 	// long (their open segment is flushed first). Zero selects 60 s;
 	// negative disables eviction.
 	IdleTimeout time.Duration
-	// DetectionBuffer is the capacity of the Batches channel (and of
-	// the flattened Detections channel); detection batches beyond it
-	// are dropped (and counted). Zero selects 1024.
+	// DetectionBuffer is the capacity of the Batches channel;
+	// detection batches beyond it are dropped (and counted). Zero
+	// selects 1024.
 	DetectionBuffer int
 	// MaxSessions bounds the session table across all shards. Feeds
 	// for new sessions beyond it are rejected. Zero selects 65536.
@@ -57,11 +57,13 @@ type EngineConfig struct {
 	// OnSessionEnd, when non-nil, fires once per session release,
 	// after the session's final flush has published its detections:
 	// reason "end" for an explicit EndSession, "idle" for janitor
-	// eviction, "close" for engine shutdown. It runs on the releasing
-	// goroutine (an EndSession caller, the janitor, or Close) with no
-	// engine locks held, but must not block — the janitor and Close
-	// release sessions serially. Cluster deployments use it to export
-	// per-session decode totals at handoff time.
+	// eviction, "close" for engine shutdown. It runs on the session's
+	// shard worker (on Close's goroutine for sessions released at
+	// shutdown) with no engine locks held. A blocking hook stalls
+	// every session of that shard, and the hook must not call the
+	// engine's FlushSession, FlushAll or EndSession. Cluster
+	// deployments use it to export per-session decode totals at
+	// handoff time.
 	OnSessionEnd func(id uint64, stats SessionStats, reason string)
 	// Metrics, when non-nil, registers the engine's observability
 	// surface into the registry: counters and gauges mirroring Stats
@@ -118,12 +120,6 @@ type Stats struct {
 	// sessions; DroppedDetections overflowed the batched detection
 	// channel.
 	DroppedSamples, DroppedDetections int64
-	// DroppedFlattened counts detections the Detections() flattening
-	// forwarder discarded because its consumer stopped draining — the
-	// abandoned-consumer signal, kept separate from DroppedDetections
-	// so operators can tell a slow batch consumer from a dead
-	// per-detection one.
-	DroppedFlattened int64
 	// Evicted counts idle sessions removed.
 	Evicted int64
 	// BufferedSamples is the current memory footprint across all
@@ -136,28 +132,35 @@ type session struct {
 	// sh is the owning shard — the home of the session's share of the
 	// engine counters and of the ring-buffer free-list its buffer
 	// retires to.
-	sh  *shard
-	mu  sync.Mutex
-	rng *ring
-	// dec is owned by whichever goroutine holds a claim (scheduled
-	// for workers and drains, evicted for teardown) — it is NOT
-	// guarded by mu.
+	sh *shard
+	mu sync.Mutex
+	// cond (L = &mu) is broadcast by run after every drain, flush and
+	// release: flush and end callers wait on it for their request, an
+	// oversized Feed for ring space.
+	cond sync.Cond
+	rng  *ring
+	// dec is used only by run, which the scheduled flag makes
+	// exclusive — it is NOT guarded by mu.
 	dec *Decoder
-	// scheduled marks the session as enqueued on its shard's run
-	// queue or being drained by a worker/drainNow; at most one
-	// run-queue entry exists per session.
+	// scheduled is set, together with the session's one run-queue
+	// entry, under both sh.mu and mu; run clears it once the ring is
+	// empty and no flush is pending. A scheduled session is therefore
+	// either queued or being run.
 	scheduled bool
-	// evicted is the terminal claim: set (under mu, only when
-	// !scheduled) by the janitor, EndSession or Close. Once set, no
-	// other goroutine touches the session again — a Feed holding a
-	// stale pointer sees it and retries against the session table.
-	evicted  bool
-	lastFeed time.Time
+	// flushReq counts FlushSession/FlushAll requests; run sets
+	// flushDone to the count its flush served.
+	flushReq, flushDone uint64
+	// endReason is "" while the session is in its shard's table; end
+	// sets it to "end", "idle" or "close" as it removes the session.
+	// run then does the final flush and sets released.
+	endReason string
+	released  bool
+	lastFeed  time.Time
 	// created anchors the session's stream time to the wall clock
 	// (first sample arrived then).
 	created time.Time
-	// buffered mirrors dec.Buffered() for Stats, updated by the claim
-	// owner after each decode step.
+	// buffered mirrors dec.Buffered() for Stats, updated by run after
+	// each decode step.
 	buffered atomic.Int64
 }
 
@@ -245,17 +248,19 @@ func (sh *shard) recycleRingBuf(buf []float64) {
 	ringBufPool.Put(&buf)
 }
 
-// enqueue appends a scheduled session and wakes one worker.
-func (sh *shard) enqueue(s *session) {
-	sh.mu.Lock()
-	sh.runq = append(sh.runq, s)
-	sh.mu.Unlock()
-	sh.cond.Signal()
+// schedule queues s for run and wakes one worker, unless s is already
+// queued or being run. Callers hold sh.mu and s.mu.
+func (sh *shard) schedule(s *session) {
+	if !s.scheduled {
+		s.scheduled = true
+		sh.runq = append(sh.runq, s)
+		sh.cond.Signal()
+	}
 }
 
 // dequeue blocks until a session is scheduled or the engine stops;
 // ok=false means stop. Entries still queued at stop time are left for
-// Close's sweep, mirroring the old stranded-channel-entry semantics.
+// Close, which runs them itself.
 func (sh *shard) dequeue() (*session, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -294,24 +299,6 @@ type Engine struct {
 	closed  chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
-
-	// flat is the per-detection view of batches, built on first use.
-	flatOnce sync.Once
-	flat     chan Detection
-
-	// lifeMu serializes Close (writer) against the caller-goroutine
-	// drain operations FlushSession/FlushAll/EndSession (readers):
-	// Close must not touch session decoders while a flusher holds a
-	// drain claim, and a flusher must not spin on claims that no
-	// worker is left alive to release.
-	lifeMu sync.RWMutex
-
-	pubMu      sync.RWMutex
-	detsClosed bool
-
-	// droppedFlat belongs to the engine-wide flattening forwarder; all
-	// hot-path counters live in the per-shard shardStats blocks.
-	droppedFlat atomic.Int64
 
 	// tel holds the live-recorded histograms; nil when the engine runs
 	// without a metrics registry, which keeps time.Now off the worker
@@ -405,7 +392,6 @@ func (e *Engine) registerMetrics(reg *telemetry.Registry) *engineTelemetry {
 	reg.CounterFunc("pl_engine_dropped_detections_total", "detection batches dropped on channel overflow", func() int64 {
 		return e.sumShards(func(st *shardStats) *atomic.Int64 { return &st.droppedDets })
 	})
-	reg.CounterFunc("pl_engine_dropped_flattened_total", "detections dropped by the flattening forwarder (abandoned consumer)", e.droppedFlat.Load)
 	reg.CounterFunc("pl_engine_sessions_evicted_total", "idle sessions evicted", func() int64 {
 		return e.sumShards(func(st *shardStats) *atomic.Int64 { return &st.evicts })
 	})
@@ -469,50 +455,40 @@ func (e *Engine) Feed(id uint64, fs float64, chunk []float64) error {
 func (e *Engine) feedChunk(id uint64, fs float64, chunk []float64, wait bool) error {
 	sh := e.shardOf(id)
 	for {
+		sh.mu.Lock()
 		s, err := e.session(sh, id, fs)
 		if err != nil {
+			sh.mu.Unlock()
 			sh.stats.droppedSamples.Add(int64(len(chunk)))
 			return err
 		}
 		s.mu.Lock()
-		if s.evicted {
-			// The session was torn down between lookup and lock;
-			// retry against the table (a fresh session, or an
-			// engine-closed error).
-			s.mu.Unlock()
-			continue
-		}
 		if wait && s.rng.len()+len(chunk) > s.rng.capacity() {
-			// Backpressure: the ring holds earlier sub-chunks a
-			// worker has not copied out yet. The content's wake is
-			// already queued (scheduled), so a worker will free the
-			// space; closing the engine surfaces via the session
-			// lookup on the next retry.
+			// Backpressure: the ring holds earlier sub-chunks that the
+			// session's run has not copied out yet, and run broadcasts
+			// once it has. Retry against the table, which also
+			// surfaces Close.
+			sh.mu.Unlock()
+			s.cond.Wait()
 			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
 			continue
 		}
 		dropped := s.rng.push(chunk)
 		s.lastFeed = time.Now()
-		wake := !s.scheduled
-		if wake {
-			s.scheduled = true
-		}
+		sh.schedule(s)
 		s.mu.Unlock()
+		sh.mu.Unlock()
 		sh.stats.samplesIn.Add(int64(len(chunk)))
 		if dropped > 0 {
 			sh.stats.droppedSamples.Add(int64(dropped))
-		}
-		if wake {
-			sh.enqueue(s)
 		}
 		return nil
 	}
 }
 
+// session returns the registered session for id, creating it on first
+// feed. Callers hold sh.mu.
 func (e *Engine) session(sh *shard, id uint64, fs float64) (*session, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.stopped {
 		return nil, ErrEngineClosed
 	}
@@ -546,13 +522,12 @@ func (e *Engine) session(sh *shard, id uint64, fs float64) (*session, error) {
 		lastFeed: now,
 		created:  now,
 	}
+	s.cond.L = &s.mu
 	sh.sessions[id] = s
 	return s, nil
 }
 
-// worker drains scheduled sessions of one shard: pull everything from
-// the ring, run the decode state machine, publish detections, repeat
-// until the ring is empty.
+// worker runs the scheduled sessions of one shard until Close.
 func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
 	var scratch []float64
@@ -561,28 +536,60 @@ func (e *Engine) worker(sh *shard) {
 		if !ok {
 			return
 		}
-		for {
-			s.mu.Lock()
-			scratch = s.rng.drain(scratch[:0])
-			arrival := s.lastFeed
-			if len(scratch) == 0 {
-				s.scheduled = false
-				s.mu.Unlock()
-				break
+		scratch = e.run(s, scratch)
+	}
+}
+
+// run is the only code that decodes a session. It drains the ring and
+// decodes until the ring is empty; then it serves a pending flush
+// request or, for a session removed from the table, does the final
+// flush and releases the session. The scheduled flag makes it
+// exclusive: a worker runs a dequeued session, and Close runs the
+// sessions left once the workers have stopped. scratch is the
+// caller's reusable drain buffer.
+func (e *Engine) run(s *session, scratch []float64) []float64 {
+	s.mu.Lock()
+	for !s.released {
+		scratch = s.rng.drain(scratch[:0])
+		arrival, flushTo, reason := s.lastFeed, s.flushReq, s.endReason
+		flush := len(scratch) == 0
+		if flush && flushTo == s.flushDone && reason == "" {
+			break
+		}
+		s.mu.Unlock()
+		s.cond.Broadcast() // ring space for a waiting oversized Feed
+		var t0 time.Time
+		if e.tel != nil {
+			t0 = time.Now()
+		}
+		var dets []Detection
+		if flush {
+			dets = s.dec.Flush()
+		} else {
+			dets = s.dec.Feed(scratch)
+		}
+		if e.tel != nil {
+			e.tel.decodeStep.Observe(int64(time.Since(t0)))
+		}
+		s.buffered.Store(int64(s.dec.Buffered()))
+		e.publish(s, dets, arrival)
+		if flush && reason != "" {
+			if e.cfg.OnSessionEnd != nil {
+				e.cfg.OnSessionEnd(s.id, s.dec.Stats(), reason)
 			}
-			s.mu.Unlock()
-			var t0 time.Time
-			if e.tel != nil {
-				t0 = time.Now()
-			}
-			dets := s.dec.Feed(scratch)
-			if e.tel != nil {
-				e.tel.decodeStep.Observe(int64(time.Since(t0)))
-			}
-			s.buffered.Store(int64(s.dec.Buffered()))
-			e.publish(s, dets, arrival)
+			s.sh.recycleRingBuf(s.rng.release())
+			s.dec.release()
+		}
+		s.mu.Lock()
+		if flush {
+			s.flushDone = flushTo
+			s.released = reason != ""
 		}
 	}
+	s.scheduled = false
+	s.mu.Unlock()
+	s.cond.Broadcast()
+	return scratch
 }
 
 // publish stamps one decode step's detections and delivers them to
@@ -600,8 +607,6 @@ func (e *Engine) publish(s *session, dets []Detection, arrival time.Time) {
 		latency = int64(time.Since(arrival))
 	}
 	st := &s.sh.stats
-	e.pubMu.RLock()
-	defer e.pubMu.RUnlock()
 	for i := range dets {
 		det := &dets[i]
 		det.Session = s.id
@@ -619,11 +624,6 @@ func (e *Engine) publish(s *session, dets []Detection, arrival time.Time) {
 			e.tel.latency.Observe(latency)
 		}
 	}
-	if e.detsClosed {
-		st.droppedDets.Add(int64(len(dets)))
-		RecycleBatch(dets)
-		return
-	}
 	select {
 	case e.batches <- dets:
 	default:
@@ -634,8 +634,17 @@ func (e *Engine) publish(s *session, dets []Detection, arrival time.Time) {
 	}
 }
 
-// janitor evicts sessions that have been idle past the timeout,
-// flushing their open segment first.
+// end removes s from its shard's table and queues its final flush.
+// Callers hold sh.mu and s.mu.
+func (e *Engine) end(sh *shard, s *session, reason string) {
+	s.endReason = reason
+	delete(sh.sessions, s.id)
+	e.sessionCount.Add(-1)
+	sh.schedule(s)
+}
+
+// janitor ends sessions that have been idle past the timeout; their
+// shard worker flushes them.
 func (e *Engine) janitor() {
 	defer e.wg.Done()
 	interval := e.cfg.IdleTimeout / 4
@@ -649,224 +658,125 @@ func (e *Engine) janitor() {
 		case <-e.closed:
 			return
 		case now := <-tick.C:
-			var stale []*session
 			for _, sh := range e.shards {
 				sh.mu.Lock()
-				var shardStale []*session
 				for _, s := range sh.sessions {
 					s.mu.Lock()
-					if !s.scheduled && s.rng.len() == 0 && now.Sub(s.lastFeed) > e.cfg.IdleTimeout {
-						// Terminal claim: no worker holds the session
-						// (!scheduled) and none can acquire it afterwards
-						// (a racing Feed sees evicted and retries, which
-						// recreates the session fresh).
-						s.evicted = true
-						shardStale = append(shardStale, s)
+					// Not scheduled means the ring is empty and no
+					// flush is pending.
+					if !s.scheduled && now.Sub(s.lastFeed) > e.cfg.IdleTimeout {
+						e.end(sh, s, "idle")
+						sh.stats.evicts.Add(1)
 					}
 					s.mu.Unlock()
 				}
-				for _, s := range shardStale {
-					delete(sh.sessions, s.id)
-				}
-				e.sessionCount.Add(-int64(len(shardStale)))
 				sh.mu.Unlock()
-				stale = append(stale, shardStale...)
-			}
-			for _, s := range stale {
-				// Terminal claim held: lastFeed is stable now.
-				e.publish(s, s.dec.Flush(), s.lastFeed)
-				s.sh.stats.evicts.Add(1)
-				e.sessionEnded(s, "idle")
 			}
 		}
 	}
 }
 
-// FlushSession forces end-of-stream on one session: pending ring
-// samples are decoded and any open segment is flushed. The session
-// stays registered.
-func (e *Engine) FlushSession(id uint64) error {
-	e.lifeMu.RLock()
-	defer e.lifeMu.RUnlock()
+// registered looks up id for a flush or end request and returns its
+// shard and session with sh.mu and s.mu held; on error it holds
+// neither.
+func (e *Engine) registered(id uint64) (*shard, *session, error) {
 	sh := e.shardOf(id)
 	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	sh.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: session %d", ErrSessionEvicted, id)
+	if sh.stopped {
+		sh.mu.Unlock()
+		return nil, nil, ErrEngineClosed
 	}
-	e.drainNow(s)
+	s, ok := sh.sessions[id]
+	if !ok {
+		sh.mu.Unlock()
+		return nil, nil, fmt.Errorf("%w: session %d", ErrSessionEvicted, id)
+	}
+	s.mu.Lock()
+	return sh, s, nil
+}
+
+// requestFlush records a flush of s and queues it; it returns the
+// flushDone value that serves the request. Callers hold sh.mu and s.mu.
+func requestFlush(sh *shard, s *session) uint64 {
+	s.flushReq++
+	sh.schedule(s)
+	return s.flushReq
+}
+
+// waitFlushed blocks until run has served flush request want of s.
+func waitFlushed(s *session, want uint64) {
+	s.mu.Lock()
+	for s.flushDone < want {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// FlushSession forces end-of-stream on one session: its shard worker
+// decodes the pending ring samples and flushes any open segment, and
+// FlushSession returns once those detections are published. The
+// session stays registered.
+func (e *Engine) FlushSession(id uint64) error {
+	sh, s, err := e.registered(id)
+	if err != nil {
+		return err
+	}
+	want := requestFlush(sh, s)
+	s.mu.Unlock()
+	sh.mu.Unlock()
+	waitFlushed(s, want)
 	return nil
 }
 
 // FlushAll forces end-of-stream on every registered session (e.g.
-// when a deployment-wide capture window closes).
+// when a deployment-wide capture window closes). The flushes run on
+// all shard workers at once; FlushAll returns once every one of them
+// has published.
 func (e *Engine) FlushAll() {
-	e.lifeMu.RLock()
-	defer e.lifeMu.RUnlock()
+	type request struct {
+		s    *session
+		want uint64
+	}
+	var reqs []request
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sessions := make([]*session, 0, len(sh.sessions))
 		for _, s := range sh.sessions {
-			sessions = append(sessions, s)
+			s.mu.Lock()
+			reqs = append(reqs, request{s, requestFlush(sh, s)})
+			s.mu.Unlock()
 		}
 		sh.mu.Unlock()
-		for _, s := range sessions {
-			e.drainNow(s)
-		}
+	}
+	for _, r := range reqs {
+		waitFlushed(r.s, r.want)
 	}
 }
 
-// drainNow synchronously decodes a session's pending samples and
-// flushes its open segment. It waits for a concurrent worker drain to
-// settle by claiming the scheduled flag itself. A session that gets
-// evicted while we wait needs nothing more — eviction flushed it.
-func (e *Engine) drainNow(s *session) {
-	for {
-		select {
-		case <-e.closed:
-			// Shutting down: a scheduled claim may be stranded on the
-			// run queue with no worker left to release it. Yield —
-			// Close flushes every session itself.
-			return
-		default:
-		}
-		s.mu.Lock()
-		if s.evicted {
-			s.mu.Unlock()
-			return
-		}
-		if s.scheduled {
-			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		s.scheduled = true
-		pending := s.rng.drain(getSegBuf())
-		arrival := s.lastFeed
-		s.mu.Unlock()
-		if len(pending) > 0 {
-			e.publish(s, s.dec.Feed(pending), arrival)
-		}
-		putSegBuf(pending)
-		dets := s.dec.Flush()
-		s.buffered.Store(int64(s.dec.Buffered()))
-		e.publish(s, dets, arrival)
-		s.mu.Lock()
-		done := s.rng.len() == 0
-		s.scheduled = false
-		s.mu.Unlock()
-		if done {
-			return
-		}
-	}
-}
-
-// EndSession flushes and removes one session: its pending samples
-// decode, its open segment flushes, and the next Feed for the same id
-// starts a fresh stream. Use when a sensor's stream restarts (e.g. a
-// node reconnect) so old and new epochs cannot splice together.
+// EndSession removes one session: its shard worker decodes the
+// pending samples, flushes the open segment and releases the session,
+// and EndSession returns once that final flush is published and
+// OnSessionEnd has run. The next Feed for the same id starts a fresh
+// stream. Use when a sensor's stream restarts (e.g. a node reconnect)
+// so old and new epochs cannot splice together.
 func (e *Engine) EndSession(id uint64) error {
-	e.lifeMu.RLock()
-	defer e.lifeMu.RUnlock()
-	sh := e.shardOf(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		e.sessionCount.Add(-1)
+	sh, s, err := e.registered(id)
+	if err != nil {
+		return err
 	}
+	e.end(sh, s, "end")
 	sh.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: session %d", ErrSessionEvicted, id)
+	for !s.released {
+		s.cond.Wait()
 	}
-	// Terminal claim, waiting out any worker currently draining.
-	for {
-		select {
-		case <-e.closed:
-			// Shutting down: hand the session back so Close's sweep
-			// (which runs after this RLock is released and clears
-			// stranded claims) flushes it instead.
-			sh.mu.Lock()
-			sh.sessions[id] = s
-			e.sessionCount.Add(1)
-			sh.mu.Unlock()
-			return ErrEngineClosed
-		default:
-		}
-		s.mu.Lock()
-		if !s.scheduled {
-			s.evicted = true
-			s.mu.Unlock()
-			break
-		}
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
-	}
-	s.mu.Lock()
-	pending := s.rng.drain(getSegBuf())
-	arrival := s.lastFeed
 	s.mu.Unlock()
-	if len(pending) > 0 {
-		e.publish(s, s.dec.Feed(pending), arrival)
-	}
-	putSegBuf(pending)
-	e.publish(s, s.dec.Flush(), arrival)
-	e.sessionEnded(s, "end")
 	return nil
-}
-
-// sessionEnded fires the release hook for a terminally-claimed
-// session whose final flush has published, then recycles the session's
-// pooled state (ring backing array to the shard free-list, decoder
-// segment buffer to the global pool). Safe without s.mu: the terminal
-// claim was taken under s.mu, so every other goroutine that could
-// touch the ring or decoder has either finished or will observe
-// evicted first and back off.
-func (e *Engine) sessionEnded(s *session, reason string) {
-	if e.cfg.OnSessionEnd != nil {
-		e.cfg.OnSessionEnd(s.id, s.dec.Stats(), reason)
-	}
-	s.sh.recycleRingBuf(s.rng.release())
-	s.dec.release()
 }
 
 // Batches is the engine's native output: every channel receive
 // carries all detections of one decode step, so the engine pays one
 // channel operation per step instead of one per detection. The
-// channel is closed by Close after all sessions are flushed. Consume
-// either Batches or Detections, not both.
+// channel is closed by Close after all sessions are flushed.
 func (e *Engine) Batches() <-chan []Detection { return e.batches }
-
-// Detections is the per-detection view of the output stream,
-// flattened from Batches by a forwarding goroutine started on first
-// call. Like the batch channel, delivery is non-blocking: detections
-// beyond the buffer are dropped and counted, so an abandoned consumer
-// strands neither the forwarder nor the engine shutdown. The channel
-// is closed after Close has flushed every session. Consume either
-// Detections or Batches, not both.
-func (e *Engine) Detections() <-chan Detection {
-	e.flatOnce.Do(func() {
-		e.flat = make(chan Detection, e.cfg.DetectionBuffer)
-		go func() {
-			for batch := range e.batches {
-				for _, det := range batch {
-					select {
-					case e.flat <- det:
-					default:
-						e.droppedFlat.Add(1)
-					}
-				}
-				// The forwarder is the batch's consumer of record;
-				// once flattened (values copied onto flat) the slice
-				// goes back to the pool.
-				RecycleBatch(batch)
-			}
-			close(e.flat)
-		}()
-	})
-	return e.flat
-}
 
 // Occupancy reports how full the engine is on a 0..1 scale: the
 // larger of mean session-ring fill (buffered samples over sessions ×
@@ -914,10 +824,7 @@ func (e *Engine) bufferedSamples() (sessions int, samples int64) {
 // Stats returns an operational snapshot, folding the shard-local
 // counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Shards:           len(e.shards),
-		DroppedFlattened: e.droppedFlat.Load(),
-	}
+	st := Stats{Shards: len(e.shards)}
 	for _, sh := range e.shards {
 		ss := &sh.stats
 		st.SamplesIn += ss.samplesIn.Load()
@@ -941,13 +848,14 @@ func (e *Engine) Stats() Stats {
 
 // Close stops the workers and janitor, flushes every session's
 // remaining samples and open segments, and closes the detection
-// output.
+// output. FlushSession, FlushAll and EndSession calls in flight when
+// Close starts return once Close has run their sessions.
 func (e *Engine) Close() {
 	e.once.Do(func() {
-		// Refuse feeds first: a producer racing Close could otherwise
-		// keep a worker's drain loop fed forever and wg.Wait below
-		// would never return. The broadcast releases workers parked in
-		// dequeue.
+		// Refuse feeds and requests first: a producer racing Close
+		// could otherwise keep a worker's run loop fed forever and
+		// wg.Wait below would never return. The broadcast releases
+		// workers parked in dequeue.
 		for _, sh := range e.shards {
 			sh.mu.Lock()
 			sh.stopped = true
@@ -956,50 +864,24 @@ func (e *Engine) Close() {
 		}
 		close(e.closed)
 		e.wg.Wait()
-		// Wait out in-flight FlushSession/FlushAll/EndSession callers
-		// (they hold drain claims on session decoders) and block new
-		// ones for the remainder of the shutdown.
-		e.lifeMu.Lock()
-		defer e.lifeMu.Unlock()
-		var sessions []*session
+		// With the workers gone every scheduled session sits on a run
+		// queue. Ending the registered sessions queues them too; then
+		// run the queues here.
+		var scratch []float64
 		for _, sh := range e.shards {
 			sh.mu.Lock()
-			// Entries stranded on the run queue when the workers
-			// exited hold a scheduled claim nobody will release;
-			// clear them so the per-session drain below owns the
-			// decoders.
-			for _, s := range sh.runq[sh.runqHead:] {
+			for _, s := range sh.sessions {
 				s.mu.Lock()
-				s.scheduled = false
+				e.end(sh, s, "close")
 				s.mu.Unlock()
 			}
+			left := sh.runq[sh.runqHead:]
 			sh.runq, sh.runqHead = nil, 0
-			for _, s := range sh.sessions {
-				sessions = append(sessions, s)
-			}
-			e.sessionCount.Add(-int64(len(sh.sessions)))
-			sh.sessions = make(map[uint64]*session)
 			sh.mu.Unlock()
-		}
-		for _, s := range sessions {
-			// Workers are stopped; claim terminally (so a Feed still
-			// holding the pointer retries into the engine-closed
-			// error instead of feeding a dead ring), then drain.
-			s.mu.Lock()
-			s.evicted = true
-			pending := s.rng.drain(getSegBuf())
-			arrival := s.lastFeed
-			s.mu.Unlock()
-			if len(pending) > 0 {
-				e.publish(s, s.dec.Feed(pending), arrival)
+			for _, s := range left {
+				scratch = e.run(s, scratch)
 			}
-			putSegBuf(pending)
-			e.publish(s, s.dec.Flush(), arrival)
-			e.sessionEnded(s, "close")
 		}
-		e.pubMu.Lock()
-		e.detsClosed = true
 		close(e.batches)
-		e.pubMu.Unlock()
 	})
 }

@@ -40,6 +40,9 @@ func sessionStream(payloads []string, fs, symbolDur, gapSec, noise float64, seed
 	return out
 }
 
+// nextDetection reads the first detection of the engine's next batch.
+func nextDetection(e *Engine) Detection { return (<-e.Batches())[0] }
+
 // TestEngineConcurrentSessions drives well over 100 sessions through
 // the worker pool at once and checks every session decodes both of
 // its passes, with memory staying far below the total sample volume.
@@ -75,11 +78,13 @@ func TestEngineConcurrentSessions(t *testing.T) {
 	collect.Add(1)
 	go func() {
 		defer collect.Done()
-		for det := range e.Detections() {
-			if det.Err == nil {
-				detMu.Lock()
-				got[det.Session] = append(got[det.Session], det.BitString())
-				detMu.Unlock()
+		for batch := range e.Batches() {
+			for _, det := range batch {
+				if det.Err == nil {
+					detMu.Lock()
+					got[det.Session] = append(got[det.Session], det.BitString())
+					detMu.Unlock()
+				}
 			}
 		}
 	}()
@@ -184,7 +189,7 @@ func TestEngineIdleEviction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	det := <-e.Detections()
+	det := nextDetection(e)
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("eviction flush produced %q (err %v), want 10", det.BitString(), det.Err)
 	}
@@ -261,7 +266,7 @@ func TestEngineEndSession(t *testing.T) {
 	if err := e.EndSession(5); err != nil {
 		t.Fatal(err)
 	}
-	det := <-e.Detections()
+	det := nextDetection(e)
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("end-session flush produced %q (err %v)", det.BitString(), det.Err)
 	}
@@ -278,7 +283,7 @@ func TestEngineEndSession(t *testing.T) {
 	if err := e.FlushSession(5); err != nil {
 		t.Fatal(err)
 	}
-	det = <-e.Detections()
+	det = nextDetection(e)
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("restarted session produced %q (err %v)", det.BitString(), det.Err)
 	}
@@ -304,7 +309,7 @@ func TestEngineOversizedFeed(t *testing.T) {
 	if err := e.FlushSession(1); err != nil {
 		t.Fatal(err)
 	}
-	det := <-e.Detections()
+	det := nextDetection(e)
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("oversized feed decoded %q (err %v); stats %+v", det.BitString(), det.Err, e.Stats())
 	}
@@ -330,7 +335,7 @@ func TestEngineNegativeWorkers(t *testing.T) {
 	if err := e.FlushSession(1); err != nil {
 		t.Fatal(err)
 	}
-	det := <-e.Detections()
+	det := nextDetection(e)
 	if det.Err != nil || det.BitString() != "10" {
 		t.Fatalf("decoded %q (err %v)", det.BitString(), det.Err)
 	}
@@ -369,66 +374,6 @@ func TestEngineGuards(t *testing.T) {
 	e.Close()
 	if err := e.Feed(1, 0, chunk); err == nil {
 		t.Fatal("feed after close should fail")
-	}
-}
-
-// TestEngineDetectionsAbandonedConsumer is the regression test for
-// the flattening-forwarder drop counter: a caller that asks for the
-// per-detection view and then walks away must show up in
-// Stats().DroppedFlattened (and the matching telemetry counter), not
-// vanish into the batch-drop count.
-func TestEngineDetectionsAbandonedConsumer(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e, err := NewEngine(EngineConfig{
-		Session:     Config{Fs: 1000, Decode: decoder.Options{ExpectedSymbols: 12}},
-		IdleTimeout: -1,
-		// One slot in each output channel: with nobody draining the
-		// flattened view, detections beyond the first of a batch are
-		// dropped by the forwarder.
-		DetectionBuffer: 1,
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := e.Detections() // start the forwarder, then stop consuming
-
-	// One session carrying several packets, fed as a single chunk: the
-	// decode step publishes its detections as one batch, which always
-	// fits the empty batch channel, so the forwarder (not the batch
-	// send) is what sheds the overflow.
-	const packets = 4
-	stream := sessionStream([]string{"1001", "1001", "1001", "1001"}, 1000, 0.2, 2.5, 0.3, 7)
-	if err := e.Feed(1, 0, stream); err != nil {
-		t.Fatal(err)
-	}
-	e.FlushAll()
-	e.Close()
-
-	// Close flushed every session and the forwarder has drained the
-	// closed batch channel once ch closes; count what it delivered.
-	delivered := int64(0)
-	for range ch {
-		delivered++
-	}
-
-	st := e.Stats()
-	total := st.Detections + st.DecodeErrors
-	if total < packets {
-		t.Fatalf("published %d detections, want >= %d: %+v", total, packets, st)
-	}
-	if st.DroppedFlattened < 1 {
-		t.Fatalf("abandoned consumer never surfaced in DroppedFlattened: %+v", st)
-	}
-	// Every published detection is delivered or counted in exactly one
-	// drop counter — the flattener's own drops must not leak into the
-	// batch-overflow count.
-	if delivered+st.DroppedFlattened+st.DroppedDetections != total {
-		t.Fatalf("detections unaccounted: delivered %d + flattened %d + batch %d != %d",
-			delivered, st.DroppedFlattened, st.DroppedDetections, total)
-	}
-	if got := reg.Snapshot().Counters["pl_engine_dropped_flattened_total"]; got != st.DroppedFlattened {
-		t.Fatalf("telemetry dropped_flattened = %d, want %d", got, st.DroppedFlattened)
 	}
 }
 

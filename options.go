@@ -163,10 +163,12 @@ func WithTelemetry(t *Telemetry) Option {
 // session after its final flush has emitted: reason "end" for an
 // explicit end (a Reset/End chunk, EndSession), "idle" for idle
 // eviction, "close" for pipeline shutdown. The hook runs on the
-// releasing goroutine and must not block. Cluster engines use it to
-// export per-session decode totals at handoff time. Streaming
-// strategies only (Threshold, TwoPhase); whole-stream strategies
-// ignore it.
+// session's engine shard worker (on the shutting-down goroutine for
+// sessions released at shutdown). A blocking hook stalls every session
+// of that shard, and the hook must not call Pipeline.Flush. Cluster
+// engines use it to export per-session decode totals at handoff time.
+// Streaming strategies only (Threshold, TwoPhase); whole-stream
+// strategies ignore it.
 func WithSessionEnd(fn func(session uint64, stats SessionStats, reason string)) Option {
 	return func(c *pipeConfig) { c.onSessionEnd = fn }
 }
